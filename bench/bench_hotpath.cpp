@@ -12,19 +12,14 @@
 //                            the embarrassingly-parallel scaling ceiling
 //   mix        read_heavy  — 95% get / 4% put / 1% evict
 //              mixed       — 70% get / 25% put / 5% evict (contended only)
-//   mode       exclusive   — pre-refactor baseline: writer lock + mutating
-//                            CacheEngine::lookup on every access
-//              striped     — shared-lock const read + per-worker deferred
-//                            stripes, batched into the engine
 //
-// Verdicts (in-bench asserts, nonzero exit on failure):
-//   * striped_beats_exclusive: at >= 8 threads on the contended read-heavy
-//     sweep the lock-minimal path must out-throughput the exclusive
-//     baseline. Only evaluated at full-ish scale (--scale >= 0.5) — tiny
-//     smoke streams (CI TSan leg runs --scale 0.05) measure mostly setup.
-//   * deferred_ledger_exact: after hot_sync, engine hits+misses must equal
-//     the gets issued, every striped cell — the deferred bookkeeping loses
-//     nothing.
+// Every op holds its routed shard's lock around one CacheEngine call, so
+// the tables show how that one lock discipline scales with threads and
+// contention.
+//
+// Verdict (in-bench assert, nonzero exit on failure):
+//   * ledger_exact: engine hits+misses must equal the gets the HotCounters
+//     saw, every cell — no access is lost or double-booked.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -115,18 +110,17 @@ struct CellResult {
   bool ledger_exact = true;
 };
 
-/// Run one (keyspace, mix, mode, threads) cell on a fresh plane.
+/// Run one (keyspace, mix, threads) cell on a fresh plane.
 /// `partitioned` gives each thread its own tenant and keyspace;
 /// `contended_zipf` is the shared popularity table for the contended case.
-CellResult run_cell(const fed::FLJob& job, serve::HotPathMode mode,
-                    bool partitioned, const MixSpec& mix, int threads,
-                    int ops_per_thread, const ZipfDistribution& contended_zipf) {
+CellResult run_cell(const fed::FLJob& job, bool partitioned, const MixSpec& mix,
+                    int threads, int ops_per_thread,
+                    const ZipfDistribution& contended_zipf) {
   ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
   serve::ShardedStoreConfig cfg;
   cfg.worker_threads = 0;  // the hot path spawns its own workers
   obs::HotCounters counters;
-  cfg.hot_path.mode = mode;
-  cfg.hot_path.counters = &counters;
+  cfg.hot_counters = &counters;
   serve::ShardedStore plane(cold, cfg);
 
   const int n_tenants = partitioned ? threads : 1;
@@ -176,7 +170,6 @@ CellResult run_cell(const fed::FLJob& job, serve::HotPathMode mode,
     });
     best_elapsed = std::min(best_elapsed, now_s() - t0);
   }
-  plane.hot_sync();
 
   CellResult result;
   const double total_ops =
@@ -184,7 +177,7 @@ CellResult run_cell(const fed::FLJob& job, serve::HotPathMode mode,
   result.ops_per_s = total_ops / std::max(best_elapsed, 1e-9);
 
   // Ledger exactness: every get the workers issued must be booked as
-  // exactly one hit or miss once the stripes are drained.
+  // exactly one hit or miss.
   std::uint64_t booked = 0;
   for (int s = 0; s < plane.shard_count(); ++s) {
     const auto& engine = plane.shard(s).engine();
@@ -200,17 +193,13 @@ int main(int argc, char** argv) {
   const auto args = bench::parse_args(argc, argv);
   bench::JsonReport report("hotpath");
   bench::banner("Hot path (extension)",
-                "Real-thread ops/sec scaling: exclusive vs lock-minimal");
+                "Real-thread ops/sec scaling of the shard-locked hot path");
 
   const int ops_per_thread =
       std::max(1000, static_cast<int>(60000 * args.scale));
   const std::vector<int> thread_counts = {1, 2, 4, 8, 16};
-  // The verdict needs streams long enough that lock behaviour, not
-  // setup/teardown, dominates the measurement.
-  const bool evaluate_speedup = args.scale >= 0.5;
 
   fed::FLJob job(bench_job());
-  bool all_ok = true;
   bool ledger_ok = true;
 
   struct Sweep {
@@ -228,59 +217,26 @@ int main(int argc, char** argv) {
   // ever needs this (n, s) pair; see build_stream).
   const ZipfDistribution contended_zipf(kContendedKeys, 0.9);
 
-  double best_speedup_8plus = 0.0;
   for (const auto& sweep : sweeps) {
     std::printf("\n[%s / %s] %d ops/thread\n", sweep.keyspace, sweep.mix.name,
                 ops_per_thread);
-    Table table({"threads", "exclusive (ops/s)", "striped (ops/s)",
-                 "speedup"});
+    Table table({"threads", "ops/s"});
     for (const int threads : thread_counts) {
-      const auto exclusive =
-          run_cell(job, serve::HotPathMode::kExclusive, sweep.partitioned,
-                   sweep.mix, threads, ops_per_thread, contended_zipf);
-      const auto striped =
-          run_cell(job, serve::HotPathMode::kStriped, sweep.partitioned,
-                   sweep.mix, threads, ops_per_thread, contended_zipf);
-      ledger_ok = ledger_ok && exclusive.ledger_exact && striped.ledger_exact;
-      const double speedup =
-          striped.ops_per_s / std::max(exclusive.ops_per_s, 1e-9);
-      table.add_row({std::to_string(threads), fmt(exclusive.ops_per_s, 0),
-                     fmt(striped.ops_per_s, 0), fmt(speedup, 2)});
-      const std::string prefix = std::string("hotpath/") + sweep.keyspace +
-                                 "/" + sweep.mix.name + "/t" +
-                                 std::to_string(threads);
-      report.add(prefix + "/exclusive", exclusive.ops_per_s, "ops/s");
-      report.add(prefix + "/striped", striped.ops_per_s, "ops/s");
-      report.add(prefix + "/speedup", speedup, "x");
-      if (!sweep.partitioned && sweep.mix.put_share == kReadHeavy.put_share &&
-          threads >= 8) {
-        best_speedup_8plus = std::max(best_speedup_8plus, speedup);
-      }
+      const auto cell = run_cell(job, sweep.partitioned, sweep.mix, threads,
+                                 ops_per_thread, contended_zipf);
+      ledger_ok = ledger_ok && cell.ledger_exact;
+      table.add_row({std::to_string(threads), fmt(cell.ops_per_s, 0)});
+      report.add(std::string("hotpath/") + sweep.keyspace + "/" +
+                     sweep.mix.name + "/t" + std::to_string(threads),
+                 cell.ops_per_s, "ops/s");
     }
     std::printf("%s", table.to_string().c_str());
   }
 
-  std::printf("\nledger exactness (hits+misses == gets after hot_sync): %s\n",
+  std::printf("\nledger exactness (hits+misses == gets): %s\n",
               ledger_ok ? "PASS" : "FAIL");
-  report.add("verdict/deferred_ledger_exact", ledger_ok ? 1.0 : 0.0);
-  all_ok = all_ok && ledger_ok;
-
-  if (evaluate_speedup) {
-    const bool speedup_ok = best_speedup_8plus > 1.0;
-    std::printf(
-        "striped beats exclusive at >= 8 threads (contended, read-heavy): "
-        "%.2fx — %s\n",
-        best_speedup_8plus, speedup_ok ? "PASS" : "FAIL");
-    report.add("verdict/striped_beats_exclusive_8plus", speedup_ok ? 1.0 : 0.0);
-    report.add("hotpath/best_speedup_8plus", best_speedup_8plus, "x");
-    all_ok = all_ok && speedup_ok;
-  } else {
-    std::printf(
-        "speedup verdict skipped at --scale %.2f (< 0.5: streams too short "
-        "to measure lock behaviour)\n",
-        args.scale);
-  }
+  report.add("verdict/ledger_exact", ledger_ok ? 1.0 : 0.0);
 
   report.write(args);
-  return all_ok ? 0 : 1;
+  return ledger_ok ? 0 : 1;
 }

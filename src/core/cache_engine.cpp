@@ -85,44 +85,12 @@ CacheEngine::ReadView CacheEngine::read_only_lookup(const MetadataKey& key,
   }
   auto access = pool_->get(it->second.group, key.object_name());
   if (!access.ok) {
-    return view;  // stale entry; apply_deferred erases it under the writer
+    return view;  // stale entry; the next lookup() erases it
   }
   view.hit = true;
   view.blob = std::move(access.blob);
   view.available_at = std::max(it->second.available_at, now);
   return view;
-}
-
-void CacheEngine::apply_deferred(const std::vector<DeferredAccess>& batch) {
-  for (const auto& a : batch) {
-    clock_ += a.count;
-    const auto it = index_.find(a.key);
-    if (!a.hit) {
-      misses_ += a.count;
-      class_stats_[kSharedPartition].misses += a.count;
-      // The reader saw a miss. If the index still holds the key, either the
-      // group lost the object (stale — erase, as lookup() would) or a put
-      // raced in after the read (resident — leave it alone).
-      if (it != index_.end() &&
-          !pool_->get(it->second.group, a.key.object_name()).ok) {
-        erase_entry(it);
-      }
-      continue;
-    }
-    hits_ += a.count;
-    if (it == index_.end()) {
-      // Evicted between the read and this drain; the bytes were served, so
-      // the hit books (under the shared partition — the entry that could
-      // have attributed it is gone).
-      class_stats_[kSharedPartition].hits += a.count;
-      continue;
-    }
-    class_stats_[it->second.partition].hits += a.count;
-    reorder(a.key, it->second, [this, &a](Entry& e) {
-      e.last_access = clock_;
-      e.accesses += a.count;
-    });
-  }
 }
 
 bool CacheEngine::cache_object(const MetadataKey& key,

@@ -83,45 +83,18 @@ class CacheEngine {
       const MetadataKey& key, double now,
       std::optional<fed::PolicyClass> cls = std::nullopt);
 
-  // --- Lock-minimal read path (the serving plane's real-thread hot get) ---
-  // lookup() mutates on every access (clock tick, recency reorder, hit/miss
-  // ledgers), which forces an exclusive lock around the read path and
-  // serializes concurrent readers of one shard. The hot path splits the two
-  // halves: read_only_lookup is const — safe under a shared lock alongside
-  // other readers — and the bookkeeping it skipped is applied later in
-  // batches through apply_deferred under the exclusive lock. Hit/miss
-  // *counts* come out exactly as if lookup() had run per access; recency /
-  // frequency ordering becomes batch-granular (every access in one drained
-  // batch lands in the same clock window), which only coarsens victim
-  // tie-breaking, not the ledgers.
-
   struct ReadView {
     bool hit = false;
     std::shared_ptr<const Blob> blob;
     double available_at = 0.0;  ///< prefetch-in-flight completion time
   };
-  /// Side-effect-free demand access: hash-index probe plus the pool read,
-  /// no counters, no reorder, no clock tick. A resident index entry whose
-  /// group lost the object reads as a miss (lookup() would erase it; here
-  /// the erase waits for the next apply_deferred on that key).
+  /// Side-effect-free peek: hash-index probe plus the pool read — no
+  /// counters, no reorder, no clock tick, so copying a shard's residents
+  /// elsewhere (ShardedStore::set_tenant_shards) books no accesses. A
+  /// resident index entry whose group lost the object reads as a miss and
+  /// stays in the index (lookup() would erase it).
   [[nodiscard]] ReadView read_only_lookup(const MetadataKey& key,
                                           double now) const;
-
-  /// One deferred bookkeeping record: `count` consecutive same-key accesses
-  /// collapsed by the caller (hot Zipf keys repeat back-to-back), `hit` is
-  /// what the reader observed under its shared lock.
-  struct DeferredAccess {
-    MetadataKey key;
-    std::uint32_t count = 1;
-    bool hit = false;
-  };
-  /// Apply a batch of deferred accesses: advance the clock, book hits and
-  /// misses (classless: hits under the resident entry's partition, misses
-  /// under the shared partition — matching lookup() with no `cls`), bump
-  /// recency/frequency, and erase entries the readers saw as stale. Entries
-  /// evicted between the read and the drain still book the hit the reader
-  /// served; their recency update is simply moot.
-  void apply_deferred(const std::vector<DeferredAccess>& batch);
 
   /// Insert an object (write-allocate, prefetch or demand fill). Evicts
   /// victims per eviction_order when over capacity. `available_at` models

@@ -73,7 +73,8 @@ class Reader {
   }
   [[nodiscard]] Tensor tensor() {
     const auto len = raw<std::uint64_t>();
-    if (pos_ + len > end_) throw InvalidArgument("metadata blob truncated");
+    // pos_ <= end_ always holds; pos_ + len could wrap for a hostile len.
+    if (len > end_ - pos_) throw InvalidArgument("metadata blob truncated");
     auto t = deserialize_tensor(bytes_.subspan(pos_, len));
     pos_ += len;
     return t;

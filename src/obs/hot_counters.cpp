@@ -37,8 +37,6 @@ const char* HotCounters::name(Slot slot) noexcept {
     case kPuts: return "put";
     case kPutRejects: return "put_reject";
     case kEvicts: return "evict";
-    case kDrains: return "drain";
-    case kDrainedAccesses: return "drained_access";
     case kSlotCount: break;
   }
   return "?";

@@ -30,8 +30,6 @@ class HotCounters {
     kPuts,
     kPutRejects,
     kEvicts,
-    kDrains,           ///< deferred-access batches applied
-    kDrainedAccesses,  ///< accesses those batches carried
     kSlotCount,
   };
 

@@ -98,11 +98,6 @@ std::unique_ptr<ShardedStore::Shard> ShardedStore::make_shard(
   auto shard = std::make_unique<Shard>();
   shard->tenant = tenant.id;
   shard->store = std::move(store);
-  const auto n_stripes = std::max(config_.hot_path.stripes, 1);
-  shard->stripes.reserve(static_cast<std::size_t>(n_stripes));
-  for (int s = 0; s < n_stripes; ++s) {
-    shard->stripes.push_back(std::make_unique<Stripe>());
-  }
   return shard;
 }
 
@@ -139,14 +134,14 @@ void ShardedStore::ingest_round(JobId tenant_id, const fed::RoundRecord& record,
                                 double now) {
   for (const auto global : tenant(tenant_id).shards) {
     auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     shard.store->ingest_round(record, now);
   }
 }
 
 core::ServeResult ShardedStore::serve(const ServiceRequest& req, double now) {
   auto& shard = *shards_[static_cast<std::size_t>(shard_for(req))];
-  const WriterMutexLock lock(shard.mu);
+  const MutexLock lock(shard.mu);
   return shard.store->serve(req.request, now);
 }
 
@@ -272,7 +267,7 @@ void ShardedStore::run_tenant(
     }
     core::ServeResult res;
     {
-      const WriterMutexLock lock(shard.mu);
+      const MutexLock lock(shard.mu);
       res = shard.store->serve(req, start);
     }
     ServiceRecord rec;
@@ -613,41 +608,12 @@ bool ShardedStore::hot_get(JobId tenant_id, const MetadataKey& key, double now,
                            int worker) {
   auto& shard =
       *shards_[static_cast<std::size_t>(hot_shard_for(tenant_id, key))];
-  obs::HotCounters* const counters = config_.hot_path.counters;
   bool hit = false;
-  if (config_.hot_path.mode == HotPathMode::kExclusive) {
-    const WriterMutexLock lock(shard.mu);
+  {
+    const MutexLock lock(shard.mu);
     hit = shard.store->engine().lookup(key, now).hit;
-  } else {
-    core::CacheEngine::ReadView view;
-    {
-      const ReaderMutexLock lock(shard.mu);
-      view = std::as_const(*shard.store).engine().read_only_lookup(key, now);
-    }
-    hit = view.hit;
-    // Bookkeeping goes to this worker's stripe; a full stripe swaps its
-    // batch out under the tiny stripe mutex and applies it to the engine
-    // under one writer acquisition (the batched cross-shard handoff).
-    std::vector<core::CacheEngine::DeferredAccess> batch;
-    auto& stripe = *shard.stripes[static_cast<std::size_t>(worker) %
-                                  shard.stripes.size()];
-    {
-      const MutexLock lock(stripe.mu);
-      auto& pending = stripe.pending;
-      if (!pending.empty() && pending.back().hit == hit &&
-          pending.back().key == key) {
-        ++pending.back().count;  // hot Zipf keys repeat back-to-back
-      } else {
-        pending.push_back({key, 1, hit});
-      }
-      if (pending.size() >=
-          static_cast<std::size_t>(std::max(config_.hot_path.drain_batch, 1))) {
-        batch.swap(pending);
-      }
-    }
-    if (!batch.empty()) drain_stripe_batch(shard, batch, worker);
   }
-  if (counters != nullptr) {
+  if (auto* const counters = config_.hot_counters; counters != nullptr) {
     counters->add(obs::HotCounters::kGets, worker);
     counters->add(hit ? obs::HotCounters::kHits : obs::HotCounters::kMisses,
                   worker);
@@ -661,11 +627,11 @@ bool ShardedStore::hot_put(JobId tenant_id, const MetadataKey& key,
       *shards_[static_cast<std::size_t>(hot_shard_for(tenant_id, key))];
   bool ok = false;
   {
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     ok = shard.store->engine().cache_object(key, std::make_shared<const Blob>(),
                                             bytes, now);
   }
-  if (auto* const counters = config_.hot_path.counters; counters != nullptr) {
+  if (auto* const counters = config_.hot_counters; counters != nullptr) {
     counters->add(ok ? obs::HotCounters::kPuts : obs::HotCounters::kPutRejects,
                   worker);
   }
@@ -678,48 +644,14 @@ bool ShardedStore::hot_evict(JobId tenant_id, const MetadataKey& key,
       *shards_[static_cast<std::size_t>(hot_shard_for(tenant_id, key))];
   bool evicted = false;
   {
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     evicted = shard.store->engine().evict(key);
   }
-  if (auto* const counters = config_.hot_path.counters;
+  if (auto* const counters = config_.hot_counters;
       counters != nullptr && evicted) {
     counters->add(obs::HotCounters::kEvicts, worker);
   }
   return evicted;
-}
-
-void ShardedStore::hot_sync() {
-  std::vector<core::CacheEngine::DeferredAccess> batch;
-  for (auto& shard : shards_) {
-    if (!shard->active) continue;
-    for (std::size_t s = 0; s < shard->stripes.size(); ++s) {
-      auto& stripe = *shard->stripes[s];
-      {
-        const MutexLock lock(stripe.mu);
-        batch.swap(stripe.pending);
-      }
-      if (!batch.empty()) {
-        drain_stripe_batch(*shard, batch, static_cast<int>(s));
-        batch.clear();
-      }
-    }
-  }
-}
-
-void ShardedStore::drain_stripe_batch(
-    Shard& shard, std::vector<core::CacheEngine::DeferredAccess>& batch,
-    int worker) {
-  {
-    const WriterMutexLock lock(shard.mu);
-    shard.store->engine().apply_deferred(batch);
-  }
-  if (auto* const counters = config_.hot_path.counters; counters != nullptr) {
-    std::uint64_t accesses = 0;
-    for (const auto& a : batch) accesses += a.count;
-    counters->add(obs::HotCounters::kDrains, worker);
-    counters->add(obs::HotCounters::kDrainedAccesses, worker, accesses);
-  }
-  batch.clear();
 }
 
 std::array<core::CacheEngine::ClassStats, core::CacheEngine::kPartitions>
@@ -728,7 +660,7 @@ ShardedStore::tenant_class_stats(JobId tenant_id) const {
       total{};
   for (const auto global : tenant(tenant_id).shards) {
     auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     for (std::size_t p = 0; p < core::CacheEngine::kPartitions; ++p) {
       const auto& s = shard.store->engine().class_stats(p);
       total[p].hits += s.hits;
@@ -754,7 +686,7 @@ ShardedStore::rebalance_tenant_partitions(JobId tenant_id,
       demand, total_per_shard, floor_per_shard);
   for (const auto global : tenant(tenant_id).shards) {
     auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     shard.store->set_class_capacity(budgets);
   }
   return budgets;
@@ -767,7 +699,7 @@ backend::DirtyWindowStats ShardedStore::dirty_window_stats(double now) const {
     // The primary shard may be mid-ingest on its tenant's timeline when a
     // telemetry publish samples the window: take the shard lock like every
     // other store access (this was a racy read before the annotation pass).
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     const auto s = shard.store->flush_scheduler().dirty_window_stats(now);
     // Redundant samples of the one shared backend's window: max.
     agg.dirty_bytes = std::max(agg.dirty_bytes, s.dirty_bytes);
@@ -812,7 +744,7 @@ double ShardedStore::infrastructure_cost(double seconds) const {
   double usd = 0.0;
   for (const auto& shard : shards_) {
     if (!shard->active) continue;  // retired slots bill nothing
-    const WriterMutexLock lock(shard->mu);
+    const MutexLock lock(shard->mu);
     usd += shard->store->infrastructure_cost(seconds);
   }
   return usd;
@@ -824,7 +756,7 @@ backend::StorageBackend::FlushResult ShardedStore::set_flush_policy(
   backend::StorageBackend::FlushResult total;
   for (const auto& t : tenants_) {
     auto& shard = *shards_[static_cast<std::size_t>(t.shards.front())];
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     const auto r = shard.store->flush_scheduler().set_policy(now, policy);
     total.drained += r.drained;
     total.drained_bytes += r.drained_bytes;
@@ -840,7 +772,7 @@ void ShardedStore::set_tenant_class_budgets(
     const std::array<units::Bytes, fed::kPolicyClassCount>& budgets) {
   for (const auto global : tenant(tenant_id).shards) {
     auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     shard.store->set_class_capacity(budgets);
   }
 }
@@ -856,8 +788,8 @@ int ShardedStore::active_shard_count() const noexcept {
 namespace {
 
 /// One entry captured from a source shard for re-insert elsewhere: the
-/// ResidentEntry plus the blob snapshot (taken under the source's reader
-/// lock so no two shard locks are ever held together).
+/// ResidentEntry plus the blob snapshot (taken under the source's lock
+/// alone, so no two shard locks are ever held together).
 struct Rehome {
   core::CacheEngine::ResidentEntry entry;
   std::shared_ptr<const Blob> blob;
@@ -878,13 +810,14 @@ int ShardedStore::set_tenant_shards(JobId tenant_id, int target, double now) {
   const int before = static_cast<int>(t.shards.size());
   if (target == before) return before;
 
-  // Phase-1 capture under the source's reader lock only; phase-2 applies
-  // under the destination's writer lock only. No call path ever holds two
-  // shard locks, so actuation cannot deadlock against anything.
+  // Phase-1 captures under the source's lock only (through the engine's
+  // const read_only_lookup, so the copy books no accesses); phase-2 applies
+  // under the destination's lock only. No call path ever holds two shard
+  // locks, so actuation cannot deadlock against anything.
   const auto capture = [&](int global) {
     std::vector<Rehome> moves;
     auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const ReaderMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     const auto& engine = std::as_const(*shard.store).engine();
     for (auto& entry : engine.resident_entries()) {
       auto view = engine.read_only_lookup(entry.key, now);
@@ -895,7 +828,7 @@ int ShardedStore::set_tenant_shards(JobId tenant_id, int target, double now) {
   };
   const auto place = [&](int global, const Rehome& m, bool opportunistic) {
     auto& shard = *shards_[static_cast<std::size_t>(global)];
-    const WriterMutexLock lock(shard.mu);
+    const MutexLock lock(shard.mu);
     auto& engine = shard.store->engine();
     if (engine.contains(m.entry.key)) return;
     (void)engine.cache_object(m.entry.key, m.blob, m.entry.logical_bytes, now,
@@ -940,7 +873,7 @@ int ShardedStore::set_tenant_shards(JobId tenant_id, int target, double now) {
       }
       auto& shard = *shards_[static_cast<std::size_t>(victim)];
       {
-        const WriterMutexLock lock(shard.mu);
+        const MutexLock lock(shard.mu);
         auto& engine = shard.store->engine();
         for (const auto& m : moves) (void)engine.evict(m.entry.key);
         for (const auto& entry : engine.resident_entries()) {

@@ -59,43 +59,6 @@ enum class Routing : std::uint8_t {
   return "?";
 }
 
-/// Lock discipline of the real-thread hot path (hot_get/hot_put/hot_evict).
-enum class HotPathMode : std::uint8_t {
-  /// Pre-refactor baseline: every access takes the shard lock exclusively
-  /// and runs the full mutating CacheEngine::lookup inline. Kept as the
-  /// measured comparison point for bench/bench_hotpath.
-  kExclusive,
-  /// Lock-minimal: reads hold the shard lock *shared* around the const
-  /// CacheEngine::read_only_lookup and record their bookkeeping in a
-  /// per-worker stripe; full stripes hand their batch to the engine under
-  /// one writer acquisition (CacheEngine::apply_deferred).
-  kStriped,
-};
-
-[[nodiscard]] constexpr const char* to_string(HotPathMode m) noexcept {
-  switch (m) {
-    case HotPathMode::kExclusive: return "exclusive";
-    case HotPathMode::kStriped: return "striped";
-  }
-  return "?";
-}
-
-struct HotPathConfig {
-  HotPathMode mode = HotPathMode::kStriped;
-  /// Deferred-access stripes per shard. Workers map onto stripes round-
-  /// robin, so with stripes >= worker threads a stripe append never
-  /// contends with another worker.
-  int stripes = 16;
-  /// Pending accesses that trigger a stripe's batched drain into the
-  /// engine (one writer acquisition per batch). Larger batches amortize
-  /// the writer lock further but coarsen recency updates.
-  int drain_batch = 256;
-  /// Optional padded-relaxed-atomic op counters (obs/hot_counters.hpp) —
-  /// the only telemetry allowed on the hot data path. Non-owning;
-  /// nullptr = off.
-  obs::HotCounters* counters = nullptr;
-};
-
 struct ShardedStoreConfig {
   int worker_threads = 4;  ///< 0 = run tenant tasks inline
   Routing routing = Routing::kClassAffinity;
@@ -120,9 +83,11 @@ struct ShardedStoreConfig {
   /// Pure bookkeeping: per-request results are bit-identical either way
   /// (regression-tested).
   obs::Telemetry* telemetry = nullptr;
-  /// Real-thread hot path tuning (see HotPathConfig; only hot_get/hot_put/
-  /// hot_evict consult it — the sim-time planes are unaffected).
-  HotPathConfig hot_path;
+  /// Optional padded-relaxed-atomic op counters for the real-thread hot
+  /// path (obs/hot_counters.hpp) — the only telemetry allowed on that data
+  /// path; only hot_get/hot_put/hot_evict touch it. Non-owning; nullptr =
+  /// off.
+  obs::HotCounters* hot_counters = nullptr;
 };
 
 class ShardedStore {
@@ -284,31 +249,30 @@ class ShardedStore {
   // distinct from the sim-time timelines above: many OS threads call these
   // simultaneously and throughput is bounded by real lock contention, not
   // simulated service times. Keys route to one of the tenant's shards by
-  // MetadataKeyHash. `worker` is the calling thread's index — it selects
-  // the deferred-access stripe (and the HotCounters stripe), so concurrent
-  // callers should pass distinct values. `now` is still simulated time; the
-  // hot path never reads the wall clock.
+  // MetadataKeyHash. Every call holds the routed shard's lock for one
+  // engine operation, so ledgers are exact the moment it returns. `worker`
+  // is the calling thread's index — it selects the HotCounters stripe, so
+  // concurrent callers should pass distinct values. `now` is still
+  // simulated time; the hot path never reads the wall clock.
 
-  /// Demand read on the routed shard. Under HotPathMode::kStriped this is
-  /// the lock-minimal fast path: shared lock + const lookup + stripe
-  /// append; bookkeeping reaches the engine in batches (hit/miss totals
-  /// exact, recency batch-granular — see CacheEngine::apply_deferred).
-  /// Returns whether the key was served from cache.
+  /// Demand read on the routed shard (CacheEngine::lookup: hit/miss
+  /// ledgers, recency, and clock all update inline). Returns whether the
+  /// key was served from cache.
   bool hot_get(JobId tenant, const MetadataKey& key, double now, int worker);
 
-  /// Demand insert of `bytes` logical bytes on the routed shard (writer
-  /// lock in both modes — writes are the rare path in the workloads this
-  /// serves). Returns false when the engine rejected the placement.
+  /// Demand insert of `bytes` logical bytes on the routed shard. Returns
+  /// false when the engine rejected the placement.
   bool hot_put(JobId tenant, const MetadataKey& key, units::Bytes bytes,
                double now, int worker);
 
   /// Drop a key on the routed shard. Returns true when it was resident.
   bool hot_evict(JobId tenant, const MetadataKey& key, int worker);
 
-  /// Drain every stripe's pending deferred accesses into its shard's
-  /// engine. Call at a quiescent point (workers joined) before reading
-  /// engine statistics; hit/miss totals are exact afterwards.
-  void hot_sync();
+  /// Quiescent-point hook: call after the workers join, before reading
+  /// engine statistics. It has nothing to do — every hot_* call books its
+  /// ledgers under the shard lock before returning, so they are already
+  /// exact.
+  void hot_sync() {}
 
   /// Global shard index `key` routes to on the hot path.
   [[nodiscard]] int hot_shard_for(JobId tenant, const MetadataKey& key) const;
@@ -342,27 +306,14 @@ class ShardedStore {
   [[nodiscard]] double infrastructure_cost(double seconds) const;
 
  private:
-  /// One deferred-access buffer of the striped hot path. Each worker
-  /// appends to its own stripe (round-robin by worker index), so the tiny
-  /// stripe mutex is effectively uncontended; alignas keeps neighbouring
-  /// stripes off one cache line.
-  struct alignas(64) Stripe {
-    Mutex mu;
-    std::vector<core::CacheEngine::DeferredAccess> pending GUARDED_BY(mu);
-  };
   struct Shard {
     JobId tenant = 0;
     /// The pointer is set once in add_tenant (before the shard is shared)
     /// and never reseated; the FLStore behind it is what `mu` guards.
-    /// Sim-time entry points and hot-path mutations hold `mu` exclusively;
-    /// the striped hot read path holds it shared around the engine's const
-    /// read_only_lookup.
+    /// Every entry point (sim-time and hot path alike) holds `mu` for the
+    /// whole store access.
     std::unique_ptr<core::FLStore> store PT_GUARDED_BY(mu);
-    SharedMutex mu;
-    /// Deferred-access stripes (set up in add_tenant, structurally
-    /// immutable afterwards; each stripe's contents are guarded by its own
-    /// mutex).
-    std::vector<std::unique_ptr<Stripe>> stripes;
+    Mutex mu;
     /// False once scale-in retired the slot: it serves no traffic, holds no
     /// residents, and bills no keep-alive, but keeps its global index so
     /// other shards' indices never shift. Flipped only between runs.
@@ -418,12 +369,6 @@ class ShardedStore {
   /// Book metrics/SLO telemetry for a finished run (single-threaded, off
   /// the parallel data path — see run_all_tenants).
   void book_telemetry(const ServiceReport& report);
-
-  /// Apply one swapped-out stripe batch to `shard`'s engine under the
-  /// writer lock and clear it for reuse.
-  void drain_stripe_batch(Shard& shard,
-                          std::vector<core::CacheEngine::DeferredAccess>& batch,
-                          int worker);
 
   ShardedStoreConfig config_;
   /// Set only by the ObjectStore& convenience constructor.

@@ -1,6 +1,7 @@
 #include "tensor/serialize.hpp"
 
 #include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -63,6 +64,13 @@ Tensor deserialize_tensor(std::span<const std::uint8_t> bytes) {
     throw InvalidArgument("tensor blob bad magic");
   }
   const auto dim = read_raw<std::uint64_t>(bytes, sizeof(kMagic));
+  // An untrusted dim this large would wrap serialized_size() onto a small,
+  // matching length; reject it before doing that arithmetic.
+  constexpr std::size_t kFraming = kHeader + sizeof(std::uint64_t);
+  if (dim > (std::numeric_limits<std::size_t>::max() - kFraming) /
+                sizeof(float)) {
+    throw InvalidArgument("tensor blob dim overflows");
+  }
   if (bytes.size() != serialized_size(dim)) {
     throw InvalidArgument("tensor blob size mismatch");
   }

@@ -458,7 +458,7 @@ TEST_F(EngineFixture, BookkeepingBytesGrowWithEntries) {
   EXPECT_LT(engine.bookkeeping_bytes(), 1024U * 1024U);
 }
 
-// --- Deferred read path (read_only_lookup + apply_deferred) --------------
+// --- Side-effect-free read path (read_only_lookup) ------------------------
 
 TEST_F(EngineFixture, ReadOnlyLookupDoesNotMutate) {
   auto engine = make_engine();
@@ -467,7 +467,7 @@ TEST_F(EngineFixture, ReadOnlyLookupDoesNotMutate) {
   const auto& view = std::as_const(engine).read_only_lookup(key, 1.0);
   EXPECT_TRUE(view.hit);
   EXPECT_NE(view.blob, nullptr);
-  // No ledger movement until the deferred batch is applied.
+  // A peek books nothing.
   EXPECT_EQ(engine.hits(), 0U);
   EXPECT_EQ(engine.misses(), 0U);
   const auto miss =
@@ -484,74 +484,6 @@ TEST_F(EngineFixture, ReadOnlyLookupModelsAvailableAt) {
   const auto& const_engine = std::as_const(engine);
   EXPECT_DOUBLE_EQ(const_engine.read_only_lookup(key, 1.0).available_at, 5.0);
   EXPECT_DOUBLE_EQ(const_engine.read_only_lookup(key, 9.0).available_at, 9.0);
-}
-
-// Applying per-access deferred records (count 1, one apply per access) must
-// reproduce the direct lookup path exactly: hit/miss ledgers, per-class
-// attribution, and LRU victim order.
-TEST_F(EngineFixture, DeferredPerAccessMatchesDirectLookup) {
-  auto direct = make_engine();
-  auto deferred = make_engine();
-  const std::vector<MetadataKey> keys = {
-      MetadataKey::update(0, 0), MetadataKey::update(1, 0),
-      MetadataKey::update(2, 0), MetadataKey::update(0, 1)};
-  for (const auto& key : keys) {
-    ASSERT_TRUE(direct.cache_object(key, blob(), 10 * MB, 0.0));
-    ASSERT_TRUE(deferred.cache_object(key, blob(), 10 * MB, 0.0));
-  }
-  // Access pattern with repeats and a miss mixed in.
-  const std::vector<int> pattern = {2, 0, 3, 0, 1, -1, 2, 2, 0};
-  for (const int idx : pattern) {
-    const auto key = idx < 0 ? MetadataKey::update(7, 7)
-                             : keys[static_cast<std::size_t>(idx)];
-    const bool hit = direct.lookup(key, 1.0).hit;
-    const auto view = std::as_const(deferred).read_only_lookup(key, 1.0);
-    EXPECT_EQ(view.hit, hit);
-    deferred.apply_deferred({{key, 1, view.hit}});
-  }
-  EXPECT_EQ(deferred.hits(), direct.hits());
-  EXPECT_EQ(deferred.misses(), direct.misses());
-  for (std::size_t p = 0; p < CacheEngine::kPartitions; ++p) {
-    EXPECT_EQ(deferred.class_stats(p).hits, direct.class_stats(p).hits);
-    EXPECT_EQ(deferred.class_stats(p).misses, direct.class_stats(p).misses);
-  }
-  // Same recency: both engines must agree on eviction order to the end.
-  while (direct.object_count() > 0) {
-    const auto a = direct.peek_victim();
-    const auto b = deferred.peek_victim();
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(*a, *b);
-    EXPECT_TRUE(direct.evict(*a));
-    EXPECT_TRUE(deferred.evict(*b));
-  }
-}
-
-TEST_F(EngineFixture, ApplyDeferredBatchCountsAreExact) {
-  auto engine = make_engine();
-  const auto key = MetadataKey::update(1, 2);
-  ASSERT_TRUE(engine.cache_object(key, blob(), 10 * MB, 0.0));
-  const auto miss_key = MetadataKey::update(8, 8);
-  engine.apply_deferred({{key, 3, true}, {miss_key, 2, false}});
-  EXPECT_EQ(engine.hits(), 3U);
-  EXPECT_EQ(engine.misses(), 2U);
-  // Misses book under the shared partition (no class context at drain).
-  EXPECT_EQ(engine.class_stats(CacheEngine::kSharedPartition).misses, 2U);
-}
-
-// A hit observed before the entry was evicted still books as a hit at drain
-// time (the reader did see the bytes); attribution falls back to the shared
-// partition since the resident entry is gone.
-TEST_F(EngineFixture, ApplyDeferredHitForEvictedEntryBooksShared) {
-  auto engine = make_engine();
-  const auto key = MetadataKey::update(1, 2);
-  ASSERT_TRUE(engine.cache_object(key, blob(), 10 * MB, 0.0));
-  const auto view = std::as_const(engine).read_only_lookup(key, 1.0);
-  ASSERT_TRUE(view.hit);
-  EXPECT_TRUE(engine.evict(key));
-  engine.apply_deferred({{key, 1, view.hit}});
-  EXPECT_EQ(engine.hits(), 1U);
-  EXPECT_EQ(engine.class_stats(CacheEngine::kSharedPartition).hits, 1U);
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/serialize.hpp"
 
 namespace flstore::fed {
 namespace {
@@ -81,6 +86,26 @@ TEST(Codec, CorruptionDetected) {
 TEST(Codec, TruncationDetected) {
   auto blob = encode_update(sample_update());
   blob.resize(blob.size() / 2);
+  EXPECT_THROW((void)decode_update(blob), InvalidArgument);
+}
+
+// A tensor length field near 2^64 wraps a naive `pos + len > end` bound.
+// The inner header claims dim = 2^62 - 6, whose serialized size wraps to
+// that same length, so the blob also passes the tensor decoder's size
+// equality check.
+TEST(Codec, HostileTensorLengthRejected) {
+  const auto u = sample_update();
+  auto blob = encode_update(u);
+  const auto tensor_bytes = serialized_size(u.delta.dim());
+  const auto len_at = blob.size() - sizeof(std::uint64_t) - tensor_bytes -
+                      sizeof(std::uint64_t);
+  const std::uint64_t len = std::numeric_limits<std::uint64_t>::max() - 3;
+  std::memcpy(blob.data() + len_at, &len, sizeof(len));
+  const std::uint64_t dim = (std::uint64_t{1} << 62) - 6;
+  std::memcpy(blob.data() + len_at + sizeof(len) + 4, &dim, sizeof(dim));
+  const auto body = blob.size() - sizeof(std::uint64_t);
+  const std::uint64_t crc = checksum(std::span(blob.data(), body));
+  std::memcpy(blob.data() + body, &crc, sizeof(crc));
   EXPECT_THROW((void)decode_update(blob), InvalidArgument);
 }
 

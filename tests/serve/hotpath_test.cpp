@@ -1,7 +1,7 @@
-// Real-thread hot path (ShardedStore::hot_get/hot_put/hot_evict): striped
-// vs exclusive equivalence, partitioned-keyspace determinism against a
+// Real-thread hot path (ShardedStore::hot_get/hot_put/hot_evict): exact
+// ledgers with no sync step, partitioned-keyspace determinism against a
 // single-threaded replay, ledger invariants under concurrent mixed traffic,
-// and a stats-polling TSan regression for the shared-lock fast path.
+// and a stats-polling TSan regression.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -58,12 +58,13 @@ std::vector<Op> mixed_stream(int ops, int n_keys, std::uint64_t seed) {
 }
 
 struct HotPlane {
-  explicit HotPlane(HotPathConfig hot, int tenants = 1, int shards_each = 2)
+  explicit HotPlane(int tenants = 1, int shards_each = 2,
+                    obs::HotCounters* counters = nullptr)
       : cold(sim::objstore_link(), PricingCatalog::aws()),
         job(std::make_unique<fed::FLJob>(small_job())) {
     ShardedStoreConfig cfg;
     cfg.worker_threads = 0;
-    cfg.hot_path = hot;
+    cfg.hot_counters = counters;
     store = std::make_unique<ShardedStore>(cold, cfg);
     for (int t = 0; t < tenants; ++t) {
       (void)store->add_tenant(*job, {}, shards_each);
@@ -95,10 +96,6 @@ struct HotPlane {
   struct EngineTotals {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::size_t objects = 0;
-    units::Bytes bytes = 0;
-
-    friend bool operator==(const EngineTotals&, const EngineTotals&) = default;
   };
   [[nodiscard]] EngineTotals totals() const {
     EngineTotals t;
@@ -106,8 +103,6 @@ struct HotPlane {
       const auto& engine = store->shard(s).engine();
       t.hits += engine.hits();
       t.misses += engine.misses();
-      t.objects += engine.object_count();
-      t.bytes += engine.cached_bytes();
     }
     return t;
   }
@@ -117,38 +112,34 @@ struct HotPlane {
   std::unique_ptr<ShardedStore> store;
 };
 
-HotPathConfig hot_config(HotPathMode mode, obs::HotCounters* counters = nullptr,
-                         int drain_batch = 32) {
-  HotPathConfig cfg;
-  cfg.mode = mode;
-  cfg.counters = counters;
-  cfg.drain_batch = drain_batch;
-  return cfg;
-}
-
-// Single-threaded, the lock-minimal mode must agree with the exclusive
-// baseline op for op: same per-op hit observations, and (after hot_sync)
-// the same hit/miss ledgers, object counts, and resident bytes.
-TEST(HotPath, StripedMatchesExclusiveSingleThreaded) {
-  const auto stream = mixed_stream(4000, 48, 11);
-  HotPlane exclusive(hot_config(HotPathMode::kExclusive));
-  HotPlane striped(hot_config(HotPathMode::kStriped));
-  exclusive.prefill(0, 48);
-  striped.prefill(0, 48);
-  for (const auto& op : stream) {
-    if (op.kind == OpKind::kGet) {
-      EXPECT_EQ(exclusive.store->hot_get(0, op.key, 0.0, 0),
-                striped.store->hot_get(0, op.key, 0.0, 0));
-    } else if (op.kind == OpKind::kPut) {
-      EXPECT_EQ(exclusive.store->hot_put(0, op.key, MB, 0.0, 0),
-                striped.store->hot_put(0, op.key, MB, 0.0, 0));
-    } else {
-      EXPECT_EQ(exclusive.store->hot_evict(0, op.key, 0),
-                striped.store->hot_evict(0, op.key, 0));
+// Every hot_get books its hit or miss before returning: with no hot_sync
+// call, the engine ledgers already equal the gets issued and agree with
+// the per-op observations.
+TEST(HotPath, LedgerExactWithoutHotSync) {
+  obs::HotCounters counters;
+  HotPlane plane(1, 2, &counters);
+  plane.prefill(0, 16);
+  counters.reset();
+  std::uint64_t gets = 0;
+  std::uint64_t hits = 0;
+  for (const auto& op : mixed_stream(1000, 24, 42)) {
+    switch (op.kind) {
+      case OpKind::kGet:
+        ++gets;
+        hits += plane.store->hot_get(0, op.key, 0.0, 0) ? 1 : 0;
+        break;
+      case OpKind::kPut:
+        (void)plane.store->hot_put(0, op.key, MB, 0.0, 0);
+        break;
+      case OpKind::kEvict:
+        (void)plane.store->hot_evict(0, op.key, 0);
+        break;
     }
   }
-  striped.store->hot_sync();
-  EXPECT_EQ(exclusive.totals(), striped.totals());
+  const auto totals = plane.totals();
+  EXPECT_EQ(totals.hits + totals.misses, gets);
+  EXPECT_EQ(totals.hits, hits);
+  EXPECT_EQ(counters.total(obs::HotCounters::kGets), gets);
 }
 
 // Partitioned keyspaces (tenant per worker) share no state, so a concurrent
@@ -162,8 +153,8 @@ TEST(HotPath, PartitionedConcurrentMatchesSingleThreadedReplay) {
     streams.push_back(mixed_stream(3000, kKeys, 100 + std::uint64_t(w)));
   }
 
-  HotPlane concurrent(hot_config(HotPathMode::kStriped), kWorkers, 1);
-  HotPlane reference(hot_config(HotPathMode::kStriped), kWorkers, 1);
+  HotPlane concurrent(kWorkers, 1);
+  HotPlane reference(kWorkers, 1);
   for (int t = 0; t < kWorkers; ++t) {
     concurrent.prefill(t, kKeys);
     reference.prefill(t, kKeys);
@@ -173,11 +164,9 @@ TEST(HotPath, PartitionedConcurrentMatchesSingleThreadedReplay) {
     concurrent.replay(worker, streams[static_cast<std::size_t>(worker)],
                       worker);
   });
-  concurrent.store->hot_sync();
   for (int t = 0; t < kWorkers; ++t) {
     reference.replay(t, streams[static_cast<std::size_t>(t)], 0);
   }
-  reference.store->hot_sync();
 
   for (int s = 0; s < concurrent.store->shard_count(); ++s) {
     const auto& a = concurrent.store->shard(s).engine();
@@ -189,8 +178,7 @@ TEST(HotPath, PartitionedConcurrentMatchesSingleThreadedReplay) {
   }
 }
 
-// Contended striped traffic: after the workers join and the stripes drain,
-// (a) every issued get is booked as exactly one hit or miss, (b) per-class
+// Contended traffic: after the workers join, (a) every issued get is booked as exactly one hit or miss, (b) per-class
 // occupancy sums to the engine totals, (c) the hot counters agree with the
 // number of ops issued.
 TEST(HotPath, ConcurrentGetPutEvictInvariants) {
@@ -198,9 +186,7 @@ TEST(HotPath, ConcurrentGetPutEvictInvariants) {
   constexpr int kKeys = 64;
   constexpr int kOps = 5000;
   obs::HotCounters counters;
-  HotPlane plane(hot_config(HotPathMode::kStriped, &counters,
-                            /*drain_batch=*/16),
-                 1, 2);
+  HotPlane plane(1, 2, &counters);
   plane.prefill(0, kKeys);
   counters.reset();
 
@@ -211,7 +197,6 @@ TEST(HotPath, ConcurrentGetPutEvictInvariants) {
   ThreadPool::run_replicated(kWorkers, [&](int worker) {
     plane.replay(0, streams[static_cast<std::size_t>(worker)], worker);
   });
-  plane.store->hot_sync();
 
   std::uint64_t issued_gets = 0;
   for (const auto& stream : streams) {
@@ -239,18 +224,15 @@ TEST(HotPath, ConcurrentGetPutEvictInvariants) {
     EXPECT_EQ(class_bytes, engine.cached_bytes());
     EXPECT_EQ(class_objects, engine.object_count());
   }
-
-  // Every drained batch was counted, and nothing is left pending.
-  EXPECT_EQ(counters.total(obs::HotCounters::kDrainedAccesses), issued_gets);
 }
 
 // TSan regression: polling the plane's aggregate statistics while hot
-// traffic runs must be race-free (the pollers take the shard writer lock;
-// the readers hold it shared).
+// traffic runs must be race-free (pollers and workers take the same shard
+// locks).
 TEST(HotPath, StatsPollingDuringHotTrafficIsDataRaceFree) {
   constexpr int kWorkers = 2;
   constexpr int kKeys = 32;
-  HotPlane plane(hot_config(HotPathMode::kStriped), 1, 2);
+  HotPlane plane(1, 2);
   plane.prefill(0, kKeys);
 
   std::atomic<bool> done{false};
@@ -270,28 +252,8 @@ TEST(HotPath, StatsPollingDuringHotTrafficIsDataRaceFree) {
   });
   done.store(true, std::memory_order_release);
   poller.join();
-  plane.store->hot_sync();
   const auto totals = plane.totals();
   EXPECT_GT(totals.hits, 0U);
-}
-
-// A tiny drain batch forces many mid-run handoffs; the ledger must still be
-// exact and hot_sync must leave nothing pending (drained == issued).
-TEST(HotPath, HotSyncDrainsExactly) {
-  obs::HotCounters counters;
-  HotPlane plane(hot_config(HotPathMode::kStriped, &counters,
-                            /*drain_batch=*/4),
-                 1, 1);
-  plane.prefill(0, 16);
-  counters.reset();
-  const auto stream = mixed_stream(1000, 16, 42);
-  plane.replay(0, stream, 0);
-  plane.store->hot_sync();
-  EXPECT_EQ(counters.total(obs::HotCounters::kDrainedAccesses),
-            counters.total(obs::HotCounters::kGets));
-  const auto totals = plane.totals();
-  EXPECT_EQ(totals.hits + totals.misses,
-            counters.total(obs::HotCounters::kGets));
 }
 
 }  // namespace

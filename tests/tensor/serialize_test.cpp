@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/ops.hpp"
@@ -52,6 +55,20 @@ TEST(Serialize, TruncatedDetected) {
 
 TEST(Serialize, TooSmallDetected) {
   Blob blob{1, 2, 3};
+  EXPECT_THROW((void)deserialize_tensor(blob), InvalidArgument);
+}
+
+// dim = 2^62 + 1 wraps serialized_size() back to exactly 24 bytes, and the
+// checksum is valid: only an explicit dim bound stops the allocation.
+TEST(Serialize, HostileDimRejected) {
+  Blob blob(24);
+  const char magic[4] = {'F', 'L', 'T', '1'};
+  std::memcpy(blob.data(), magic, sizeof(magic));
+  const std::uint64_t dim = (std::uint64_t{1} << 62) + 1;
+  std::memcpy(blob.data() + 4, &dim, sizeof(dim));
+  const std::uint64_t crc = checksum(std::span(blob.data(), 16));
+  std::memcpy(blob.data() + 16, &crc, sizeof(crc));
+  ASSERT_EQ(serialized_size(dim), blob.size());
   EXPECT_THROW((void)deserialize_tensor(blob), InvalidArgument);
 }
 

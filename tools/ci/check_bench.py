@@ -13,7 +13,7 @@ Baseline schema::
     {
       "artifact": "BENCH_hotpath.json",
       "checks": [
-        {"metric": "verdict/deferred_ledger_exact",
+        {"metric": "verdict/ledger_exact",
          "value": 1.0,          # expected value
          "direction": "min",    # "min" | "max" | "eq"
          "rel_tol": 0.0}        # relative tolerance on the bound

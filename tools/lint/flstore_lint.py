@@ -16,9 +16,8 @@ clang-tidy can express:
                       so CI can harvest BENCH_*.json artifacts uniformly.
   mutex-annotation    src/ outside src/common/ must not declare raw
                       std::mutex / std::shared_mutex members (use the
-                      annotated flstore::Mutex / flstore::SharedMutex
-                      shims), and every (Shared)Mutex member
-                      must appear in at least one thread-safety annotation
+                      annotated flstore::Mutex shim), and every Mutex
+                      member must appear in at least one thread-safety annotation
                       (GUARDED_BY / PT_GUARDED_BY / REQUIRES / EXCLUDES /
                       ACQUIRE / RELEASE) in the same file — an unannotated
                       mutex is invisible to -Wthread-safety.
@@ -61,7 +60,7 @@ COUT_RE = re.compile(r"std::(cout|cerr)\b")
 RAW_MUTEX_RE = re.compile(r"\bstd::(shared_mutex|recursive_mutex|mutex)\b")
 
 MUTEX_MEMBER_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:flstore::)?(?:Shared)?Mutex\s+(\w+)\s*;")
+    r"^\s*(?:mutable\s+)?(?:flstore::)?Mutex\s+(\w+)\s*;")
 
 ANNOTATION_MACROS = (
     "GUARDED_BY", "PT_GUARDED_BY", "REQUIRES", "REQUIRES_SHARED",
