@@ -8,9 +8,24 @@
 
 namespace flstore::fed {
 
+namespace {
+
+/// The fixed, unit-norm part of every round's descent direction. It depends
+/// only on the job seed, so it is drawn once per job, not once per round.
+Tensor unit_base_direction(std::uint64_t seed, std::size_t dim) {
+  Rng base_rng(seed ^ 0xD1FEC710ULL);
+  auto base = ops::random_normal(dim, base_rng);
+  ops::scale(base, 1.0 / ops::l2_norm(base));
+  return base;
+}
+
+}  // namespace
+
 FLJob::FLJob(FLJobConfig config)
     : config_(std::move(config)),
-      model_(&ModelZoo::instance().get(config_.model)) {
+      model_(&ModelZoo::instance().get(config_.model)),
+      unit_base_(unit_base_direction(config_.seed,
+                                     model_->materialized_dim())) {
   FLSTORE_CHECK(config_.pool_size > 0);
   FLSTORE_CHECK(config_.clients_per_round > 0);
   FLSTORE_CHECK(config_.clients_per_round <= config_.pool_size);
@@ -72,9 +87,7 @@ Tensor FLJob::global_direction(RoundId r) const {
   // rotating component, so consecutive rounds correlate (as real training
   // trajectories do) but distant rounds differ.
   const auto dim = model_->materialized_dim();
-  Rng base_rng(config_.seed ^ 0xD1FEC710ULL);
-  auto base = ops::random_normal(dim, base_rng);
-  ops::scale(base, 1.0 / ops::l2_norm(base));
+  auto base = unit_base_;
   Rng drift_rng(config_.seed ^
                 ((static_cast<std::uint64_t>(r) / 25 + 1) * 0x5EEDBEEFULL));
   auto drift = ops::random_normal(dim, drift_rng);

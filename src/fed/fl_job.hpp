@@ -5,6 +5,10 @@
 // a pure function of (config.seed, r), so traces can replay any round without
 // storing the whole history. Participant sets are memoized (cheap) while
 // full RoundRecords (tensors) are produced on request.
+//
+// Every const member, make_round included, is safe to call concurrently
+// from several threads: the participant memo is the only mutable state and
+// it is guarded, and everything else is fixed at construction.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +46,8 @@ class FLJob final : public RoundDirectory {
   [[nodiscard]] const SimClient& client(ClientId id) const;
 
   /// Generate round r's full record (deterministic, includes FedAvg output).
+  /// Const and thread-safe: concurrent calls, for the same or different
+  /// rounds, return exactly what serial calls would.
   [[nodiscard]] RoundRecord make_round(RoundId r) const;
 
   /// Ids of planted malicious clients (ground truth for workload tests).
@@ -63,6 +69,8 @@ class FLJob final : public RoundDirectory {
  private:
   FLJobConfig config_;
   const ModelSpec* model_;
+  /// Unit-norm seed-only part of global_direction (never changes).
+  const Tensor unit_base_;
   std::vector<SimClient> clients_;
   /// Guards the memo below: one job may serve several concurrent tenants.
   mutable Mutex participants_mu_;

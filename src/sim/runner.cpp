@@ -2,8 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <optional>
+#include <thread>
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
 
 #include "common/error.hpp"
+#include "common/mutex.hpp"
 
 namespace flstore::sim {
 
@@ -52,6 +61,105 @@ class BaselineAdapter final : public ServingAdapter {
 
  private:
   baselines::AggregatorBaseline* baseline_;
+};
+
+/// Builds rounds 0..last of a job, in order, on one background thread, up to
+/// kDepth rounds ahead of the replay loop. Round r is a pure function of
+/// (seed, r), so a round built ahead of its ingest event, on either thread,
+/// is exactly the round the inline build makes; the producer only takes
+/// round synthesis off the thread that ingests and serves.
+///
+/// The replay loop never waits for the producer: take(r) hands over round r
+/// when it is ready and otherwise builds it on the caller's thread, and the
+/// producer then skips past r. Waiting would tie each ingest to when the
+/// producer last got a CPU, so a busy host or the producer's low priority
+/// would turn into replay stalls that differ from run to run; building
+/// inline instead costs at most what the replay paid before the producer
+/// existed. It also keeps make_round's errors where the inline build had
+/// them: the producer just stops at its first exception, and the replay's
+/// own make_round(r) throws at round r's ingest event.
+///
+/// The destructor stops the producer and joins it, so it runs on every way
+/// out of run_trace.
+class RoundPrefetcher {
+ public:
+  RoundPrefetcher(const fed::FLJob& job, RoundId last)
+      : job_(job), last_(last), producer_([this] { produce(); }) {}
+
+  ~RoundPrefetcher() {
+    {
+      const MutexLock lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    producer_.join();
+  }
+
+  RoundPrefetcher(const RoundPrefetcher&) = delete;
+  RoundPrefetcher& operator=(const RoundPrefetcher&) = delete;
+  RoundPrefetcher(RoundPrefetcher&&) = delete;
+  RoundPrefetcher& operator=(RoundPrefetcher&&) = delete;
+
+  /// Round r, which must be the round after the last one taken (0 first).
+  fed::RoundRecord take(RoundId r) EXCLUDES(mu_) {
+    std::optional<fed::RoundRecord> record;
+    bool refill = false;
+    {
+      const MutexLock lock(mu_);
+      FLSTORE_CHECK(r == next_);
+      next_ = r + 1;
+      // The queue holds consecutive rounds from next_ on: the producer
+      // pushes round p only while p >= next_.
+      if (!ready_.empty()) {
+        FLSTORE_CHECK(ready_.front().round == r);
+        record = std::move(ready_.front());
+        ready_.pop_front();
+      }
+      refill = ready_.size() == kDepth / 2;
+    }
+    // Waking the producer at half depth, not per round, lets it build in
+    // bursts of kDepth / 2 rounds with one wake-up each.
+    if (refill) cv_.notify_all();
+    return record ? std::move(*record) : job_.make_round(r);
+  }
+
+ private:
+  static constexpr std::size_t kDepth = 16;
+
+  void produce() EXCLUDES(mu_) {
+#if defined(__linux__)
+    // Linux applies a thread id's nice value to that thread alone. Nice 19
+    // keeps the producer from taking CPU the serving thread could use; if
+    // the call fails, the producer just runs at normal priority.
+    (void)setpriority(PRIO_PROCESS, static_cast<id_t>(gettid()), 19);
+#endif
+    for (RoundId r = 0;; ++r) {
+      {
+        const MutexLock lock(mu_);
+        while (!stop_ && ready_.size() >= kDepth) cv_.wait(mu_);
+        if (stop_) return;
+        r = std::max(r, next_);  // skip rounds the replay built itself
+        if (r > last_) return;
+      }
+      fed::RoundRecord record;
+      try {
+        record = job_.make_round(r);
+      } catch (...) {
+        return;  // the replay builds round r itself and throws there
+      }
+      const MutexLock lock(mu_);
+      if (r >= next_) ready_.push_back(std::move(record));
+    }
+  }
+
+  const fed::FLJob& job_;
+  const RoundId last_;
+  Mutex mu_;
+  CondVar cv_;  ///< the producer waits here for room in the queue
+  std::deque<fed::RoundRecord> ready_ GUARDED_BY(mu_);
+  RoundId next_ GUARDED_BY(mu_) = 0;  ///< the next round take() hands out
+  bool stop_ GUARDED_BY(mu_) = false;
+  std::thread producer_;  ///< last: starts once the state above exists
 };
 
 enum class EventType : int { kIngest = 0, kFault = 1, kRequest = 2 };
@@ -118,6 +226,8 @@ RunResult run_trace(ServingAdapter& system, fed::FLJob& job,
   const auto max_round = std::min<RoundId>(
       job.latest_round(),
       static_cast<RoundId>(std::floor(duration_s / round_interval_s)));
+  // Starts building rounds now, while the timeline below is assembled.
+  RoundPrefetcher rounds(job, max_round);
 
   std::vector<TimelineEvent> events;
   events.reserve(static_cast<std::size_t>(max_round + 1) + trace.size() +
@@ -147,7 +257,7 @@ RunResult run_trace(ServingAdapter& system, fed::FLJob& job,
   for (const auto& ev : events) {
     switch (ev.type) {
       case EventType::kIngest: {
-        const auto record = job.make_round(static_cast<RoundId>(ev.index));
+        const auto record = rounds.take(static_cast<RoundId>(ev.index));
         system.ingest(record, ev.time);
         break;
       }

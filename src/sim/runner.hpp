@@ -75,9 +75,19 @@ struct RunResult {
   [[nodiscard]] std::uint64_t total_misses() const;
 };
 
-/// Replay `trace` against `system`. Rounds 0..ceil(duration/interval) of
-/// `job` are ingested at their completion times; requests arriving before
-/// their round finished are served at the round boundary.
+/// Replay `trace` against `system`. Rounds
+/// 0..min(job.latest_round(), floor(duration/interval)) of `job` are
+/// ingested at their completion times (round r at r·interval), and every
+/// request is served at its arrival time, after the rounds that completed
+/// at or before it (traces only target completed rounds).
+///
+/// Threading: `system`'s ingest and serve run only on the calling thread,
+/// in timeline order. One background thread builds rounds ahead of their
+/// ingest events with `job.make_round`, and does nothing else; a round it
+/// has not built by its ingest event is built on the calling thread, which
+/// never waits for it. It is stopped and joined before run_trace returns or
+/// throws. An exception from make_round(r) is thrown at round r's ingest
+/// event.
 [[nodiscard]] RunResult run_trace(
     ServingAdapter& system, fed::FLJob& job,
     const std::vector<fed::NonTrainingRequest>& trace, double duration_s,

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "fed/aggregator.hpp"
@@ -76,6 +78,33 @@ TEST(FLJob, MakeRoundDeterministic) {
   const auto a = job.make_round(7);
   const auto b = job.make_round(7);
   EXPECT_EQ(a.updates, b.updates);
+}
+
+TEST(FLJob, ConcurrentMakeRoundMatchesSerial) {
+  // Two threads build interleaved rounds (even / odd) of one fresh job, so
+  // they race on the cold participant memo; every record must equal what a
+  // serial pass over a second job with the same config produces.
+  const FLJob serial_job(small_config());
+  const FLJob shared_job(small_config());
+  const auto rounds = static_cast<std::size_t>(small_config().rounds);
+  std::vector<RoundRecord> built(rounds);
+  const auto build_every_other = [&](std::size_t first) {
+    for (std::size_t r = first; r < rounds; r += 2) {
+      built[r] = shared_job.make_round(static_cast<RoundId>(r));
+    }
+  };
+  std::thread even(build_every_other, 0);
+  std::thread odd(build_every_other, 1);
+  even.join();
+  odd.join();
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const auto expected = serial_job.make_round(static_cast<RoundId>(r));
+    EXPECT_EQ(built[r].round, expected.round);
+    EXPECT_EQ(built[r].updates, expected.updates) << "round " << r;
+    EXPECT_EQ(built[r].metrics, expected.metrics) << "round " << r;
+    EXPECT_EQ(built[r].aggregate, expected.aggregate) << "round " << r;
+    EXPECT_EQ(built[r].global_loss, expected.global_loss);
+  }
 }
 
 TEST(FLJob, MaliciousClientsPlantedAtExpectedRate) {

@@ -2,10 +2,79 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <thread>
+
 #include "sim/report.hpp"
 
 namespace flstore::sim {
 namespace {
+
+/// Forwards every call to an inner adapter; tests override what they watch.
+class ForwardingAdapter : public ServingAdapter {
+ public:
+  explicit ForwardingAdapter(std::unique_ptr<ServingAdapter> inner)
+      : inner_(std::move(inner)) {}
+
+  void ingest(const fed::RoundRecord& record, double now) override {
+    inner_->ingest(record, now);
+  }
+  Outcome serve(const fed::NonTrainingRequest& req, double now) override {
+    return inner_->serve(req, now);
+  }
+  [[nodiscard]] double infrastructure_cost(double seconds) const override {
+    return inner_->infrastructure_cost(seconds);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<ServingAdapter> inner_;
+};
+
+/// Records every ingest/serve call before forwarding it.
+class RecordingAdapter final : public ForwardingAdapter {
+ public:
+  struct Call {
+    bool ingest = false;
+    double now = 0.0;
+    RoundId rounds_ingested = 0;  ///< ingests seen up to and including this
+    std::thread::id thread;
+  };
+
+  using ForwardingAdapter::ForwardingAdapter;
+
+  void ingest(const fed::RoundRecord& record, double now) override {
+    ingested.push_back(record);
+    calls.push_back({true, now, static_cast<RoundId>(ingested.size()),
+                     std::this_thread::get_id()});
+    ForwardingAdapter::ingest(record, now);
+  }
+  Outcome serve(const fed::NonTrainingRequest& req, double now) override {
+    calls.push_back({false, now, static_cast<RoundId>(ingested.size()),
+                     std::this_thread::get_id()});
+    return ForwardingAdapter::serve(req, now);
+  }
+
+  std::vector<fed::RoundRecord> ingested;
+  std::vector<Call> calls;
+};
+
+/// The `throw_at`-th serve call (1-based) throws instead of forwarding.
+class ThrowingAdapter final : public ForwardingAdapter {
+ public:
+  ThrowingAdapter(std::unique_ptr<ServingAdapter> inner, std::size_t throw_at)
+      : ForwardingAdapter(std::move(inner)), throw_at_(throw_at) {}
+
+  Outcome serve(const fed::NonTrainingRequest& req, double now) override {
+    if (++served_ == throw_at_) throw std::runtime_error("serve failed");
+    return ForwardingAdapter::serve(req, now);
+  }
+
+ private:
+  std::size_t throw_at_;
+  std::size_t served_ = 0;
+};
 
 ScenarioConfig small_scenario() {
   ScenarioConfig cfg;
@@ -28,6 +97,68 @@ TEST(Runner, TraceReplayProducesRecordsForAllRequests) {
   EXPECT_EQ(run.records.size(), trace.size());
   EXPECT_EQ(run.system, "FLStore");
   EXPECT_GT(run.infrastructure_usd, 0.0);
+}
+
+TEST(Runner, IngestsEveryRoundOnceInTimelineOrderOnCallerThread) {
+  Scenario sc(small_scenario());
+  const auto trace = sc.trace();
+  RecordingAdapter rec(adapt(sc.flstore()));
+  const auto run = run_trace(rec, sc.job(), trace, 2000.0, 50.0);
+  ASSERT_EQ(run.records.size(), trace.size());
+
+  // Rounds 0..min(latest_round, floor(2000/50)) arrive once each, in order,
+  // and equal a fresh make_round.
+  const RoundId max_round = std::min<RoundId>(sc.job().latest_round(), 40);
+  ASSERT_EQ(rec.ingested.size(), static_cast<std::size_t>(max_round + 1));
+  for (RoundId r = 0; r <= max_round; ++r) {
+    const auto& got = rec.ingested[static_cast<std::size_t>(r)];
+    const auto expected = sc.job().make_round(r);
+    ASSERT_EQ(got.round, r);
+    ASSERT_EQ(got.updates.size(), expected.updates.size());
+    for (std::size_t i = 0; i < got.updates.size(); ++i) {
+      EXPECT_EQ(got.updates[i].client, expected.updates[i].client);
+      EXPECT_EQ(got.updates[i].round, expected.updates[i].round);
+      EXPECT_EQ(got.updates[i].delta, expected.updates[i].delta);
+    }
+    EXPECT_EQ(got.metrics, expected.metrics) << "round " << r;
+    EXPECT_EQ(got.aggregate, expected.aggregate) << "round " << r;
+  }
+
+  // Calls are in timeline order on the caller's thread: time never goes
+  // back, and each request is served after exactly the rounds that
+  // completed at or before its arrival.
+  const auto caller = std::this_thread::get_id();
+  std::size_t serves = 0;
+  for (std::size_t i = 0; i < rec.calls.size(); ++i) {
+    const auto& c = rec.calls[i];
+    EXPECT_EQ(c.thread, caller);
+    if (i > 0) {
+      EXPECT_GE(c.now, rec.calls[i - 1].now);
+    }
+    if (c.ingest) continue;
+    ++serves;
+    const auto completed = std::min<RoundId>(
+        max_round + 1, static_cast<RoundId>(std::floor(c.now / 50.0)) + 1);
+    EXPECT_EQ(c.rounds_ingested, completed) << "serve at t=" << c.now;
+  }
+  EXPECT_EQ(serves, trace.size());
+}
+
+TEST(Runner, ServeExceptionPropagatesAndStopsRoundProducer) {
+  // The throw lands while the round producer is still ahead of the replay
+  // (most rounds unbuilt); run_trace must stop and join it on the way out,
+  // or destroying a joinable std::thread would abort the process.
+  Scenario sc(small_scenario());
+  const auto trace = sc.trace();
+  ThrowingAdapter failing(adapt(sc.flstore()), 3);
+  EXPECT_THROW((void)run_trace(failing, sc.job(), trace, 2000.0, 50.0),
+               std::runtime_error);
+
+  // The job is still usable by a later replay.
+  Scenario fresh(small_scenario());
+  auto fl = adapt(fresh.flstore());
+  const auto run = run_trace(*fl, sc.job(), trace, 2000.0, 50.0);
+  EXPECT_EQ(run.records.size(), trace.size());
 }
 
 TEST(Runner, FLStoreDominatesObjStoreAggOnLatency) {
