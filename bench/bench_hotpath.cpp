@@ -3,7 +3,7 @@
 // Unlike every fig* bench (simulated time), this one measures actual ops/sec
 // on actual OS threads: 1–16 workers replay pre-built randomized request
 // streams against ShardedStore::hot_get/hot_put/hot_evict and we time the
-// wall clock around the barrier-started run (ThreadPool::run_replicated).
+// wall clock around the barrier-started run (serve::run_replicated).
 //
 // Axes, following the NUMA-DSU-style methodology named in the ROADMAP:
 //   keyspace   contended   — one tenant, 4 shards, all threads hammer one
@@ -152,7 +152,7 @@ CellResult run_cell(const fed::FLJob& job, bool partitioned, const MixSpec& mix,
   double best_elapsed = 1e18;
   for (int rep = 0; rep < kRepeats; ++rep) {
     const double t0 = now_s();
-    serve::ThreadPool::run_replicated(threads, [&](int worker) {
+    serve::run_replicated(threads, [&](int worker) {
       const JobId tenant = partitioned ? worker : 0;
       for (const auto& op : streams[static_cast<std::size_t>(worker)]) {
         switch (op.kind) {

@@ -45,9 +45,9 @@ fed::FLJobConfig bench_job() {
 constexpr double kRoundIntervalS = 30.0;
 constexpr double kDurationS = 900.0;
 
-serve::OpenLoopConfig load(double qps) {
-  serve::OpenLoopConfig cfg;
-  cfg.offered_qps = qps;
+serve::StreamConfig load(double qps) {
+  serve::StreamConfig cfg;
+  cfg.rate.base_qps = qps;
   cfg.duration_s = kDurationS;
   cfg.round_interval_s = kRoundIntervalS;
   cfg.seed = 11;

@@ -1,6 +1,6 @@
 // Tiny leveled logger. Benches run quiet by default; tests can raise the
 // level to debug a scenario. Thread-safe: the serving plane runs tenant
-// timelines on a worker pool, so the level is an atomic and each write
+// timelines on worker threads, so the level is an atomic and each write
 // holds a mutex (one fprintf per line — no interleaved fragments). The
 // fast path stays free: FLSTORE_LOG builds no LogLine (and allocates
 // nothing) when the level filters the message out.

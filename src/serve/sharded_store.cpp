@@ -1,9 +1,9 @@
 #include "serve/sharded_store.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <exception>
-#include <functional>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fed/trace.hpp"
+#include "serve/thread_pool.hpp"
 
 namespace flstore::serve {
 
@@ -145,15 +146,18 @@ core::ServeResult ShardedStore::serve(const ServiceRequest& req, double now) {
   return shard.store->serve(req.request, now);
 }
 
-void ShardedStore::run_tenant(
-    const Tenant& tenant, Mode mode,
-    const std::vector<ServiceRequest>& arrivals, double horizon_s,
-    double round_interval_s, RoundId first_round,
-    const ClosedLoopConfig* closed, const TenantMix* mix,
-    const StreamSpec* stream, std::vector<ServiceRecord>& out,
-    std::array<SchedClassStats, fed::kPolicyClassCount>& sched_out) {
-  FLSTORE_CHECK(round_interval_s > 0.0);
+struct ShardedStore::TenantRun {
+  std::vector<ServiceRequest> arrivals;  ///< trace runs: stable-sorted slice
+  const TenantMix* mix = nullptr;  ///< its entry in a stream/closed-loop mix
+  std::vector<ServiceRecord> records;
+  std::array<SchedClassStats, fed::kPolicyClassCount> sched{};
+  std::exception_ptr error;
+};
+
+void ShardedStore::run_tenant(const RunSpec& spec, const Tenant& tenant,
+                              TenantRun& io) {
   const auto n_local = tenant.shards.size();
+  const ClosedLoopConfig* const closed = spec.closed;
 
   EventQueue events;
   std::uint64_t seq = 0;
@@ -161,52 +165,52 @@ void ShardedStore::run_tenant(
   // Training rounds complete on their own clock, independent of serving.
   const auto max_round = std::min<RoundId>(
       tenant.job->latest_round(),
-      static_cast<RoundId>(std::floor(horizon_s / round_interval_s)));
-  for (RoundId r = first_round; r <= max_round; ++r) {
+      static_cast<RoundId>(
+          std::floor(spec.horizon_s / spec.round_interval_s)));
+  for (RoundId r = spec.first_round; r <= max_round; ++r) {
     Event ev;
-    ev.time = static_cast<double>(r) * round_interval_s;
+    ev.time = static_cast<double>(r) * spec.round_interval_s;
     ev.type = EvType::kIngest;
     ev.seq = seq++;
     ev.round = r;
     events.push(std::move(ev));
   }
-  for (const auto& a : arrivals) {
-    Event ev;
-    ev.time = a.request.arrival_s;
-    ev.type = EvType::kArrival;
-    ev.seq = seq++;
-    ev.req = a;
-    events.push(std::move(ev));
-  }
 
-  // Streaming mode: this timeline owns a private replica of the shared
-  // deterministic ArrivalStream and keeps only its own tenant's arrivals,
-  // so at most one arrival event is pending at any instant — trace memory
-  // stays O(1) however long the scenario runs. The replica still *sees*
-  // every tenant's arrivals (filtering happens here, not in the stream),
-  // so once it drains, last_arrival_s() is the global last arrival — the
-  // exact horizon a materialized run would have computed, which the ingest
-  // case below uses to drop training rounds past the end of traffic.
-  std::optional<ArrivalStream> stream_src;
-  bool stream_done = false;
-  const auto pull_stream_arrival = [&] {
-    while (auto next = stream_src->next()) {
-      if (next->tenant != tenant.id) continue;  // another timeline's arrival
-      Event ev;
-      ev.time = next->request.arrival_s;
-      ev.type = EvType::kArrival;
-      ev.seq = seq++;
-      ev.req = std::move(*next);
-      events.push(std::move(ev));
+  // Open-loop arrivals are pulled one at a time, so at most one is pending
+  // at any instant: from the tenant's stable-sorted trace slice, or from a
+  // private replica of the shared deterministic ArrivalStream filtered to
+  // this tenant (trace memory then stays O(1) however long the scenario
+  // runs). Either way arrivals pop in (time, trace order), as if the whole
+  // slice had been queued up front. The stream replica still *sees* every
+  // tenant's arrivals, so once it drains, last_arrival_s() is the global
+  // last arrival — the exact horizon a materialized run would have
+  // computed, which the ingest case below uses to drop training rounds past
+  // the end of traffic.
+  std::optional<ArrivalStream> stream;
+  if (spec.stream != nullptr) stream.emplace(*spec.stream, *spec.mix);
+  std::size_t next_in_slice = 0;
+  bool arrivals_done = false;
+  const auto pull_arrival = [&] {
+    std::optional<ServiceRequest> next;
+    if (stream.has_value()) {
+      do {
+        next = stream->next();
+      } while (next.has_value() && next->tenant != tenant.id);
+    } else if (next_in_slice < io.arrivals.size()) {
+      next = io.arrivals[next_in_slice++];
+    }
+    if (!next.has_value()) {
+      arrivals_done = true;
       return;
     }
-    stream_done = true;
+    Event ev;
+    ev.time = next->request.arrival_s;
+    ev.type = EvType::kArrival;
+    ev.seq = seq++;
+    ev.req = std::move(*next);
+    events.push(std::move(ev));
   };
-  if (stream != nullptr) {
-    FLSTORE_CHECK(stream->config != nullptr && stream->mix != nullptr);
-    stream_src.emplace(*stream->config, *stream->mix);
-    pull_stream_arrival();
-  }
+  pull_arrival();
 
   // Closed loop: virtual users draw their own requests; the first wave is
   // staggered across one think interval so users do not phase-lock.
@@ -225,10 +229,9 @@ void ShardedStore::run_tenant(
     events.push(std::move(ev));
   };
   if (closed != nullptr) {
-    FLSTORE_CHECK(mix != nullptr);
     FLSTORE_CHECK(closed->users_per_tenant > 0);
-    sampler.emplace(mix->workloads, *tenant.job, mix->tracked_clients,
-                    round_interval_s);
+    sampler.emplace(io.mix->workloads, *tenant.job, io.mix->tracked_clients,
+                    spec.round_interval_s);
     rng.emplace(closed->seed ^ (static_cast<std::uint64_t>(tenant.id) *
                                 0x9E3779B97F4A7C15ULL));
     for (int u = 0; u < closed->users_per_tenant; ++u) {
@@ -239,9 +242,7 @@ void ShardedStore::run_tenant(
 
   std::vector<RequestScheduler> scheds;
   std::vector<double> busy(n_local, 0.0);
-  if (mode == Mode::kQueued) {
-    scheds.assign(n_local, RequestScheduler(config_.scheduler));
-  }
+  if (spec.queued) scheds.assign(n_local, RequestScheduler(config_.scheduler));
 
   obs::Tracer* const tracer = obs::tracer_of(config_.telemetry);
 
@@ -292,13 +293,13 @@ void ShardedStore::run_tenant(
     // monitor are cross-tenant shared state, and hashing label sets under
     // their mutexes per request was measurable contention on the data
     // path. Only the (sampled) tracer spans above stay inline.
-    out.push_back(rec);
+    io.records.push_back(rec);
     return res;
   };
 
   // Single-server dispatch: runs whenever the shard might be idle.
   const auto dispatch = [&](std::size_t local, double when) {
-    if (mode != Mode::kQueued) return;
+    if (!spec.queued) return;
     if (busy[local] > when || scheds[local].empty()) return;
     const auto req = scheds[local].pop(when);
     const auto res = serve_on(local, req, when);
@@ -320,21 +321,24 @@ void ShardedStore::run_tenant(
     events.pop();
     switch (ev.type) {
       case EvType::kIngest:
-        // Streamed runs pre-push ingests up to the configured duration;
-        // once the stream has drained, rounds past the last arrival are
-        // dropped so the ingest set matches the materialized run's horizon
-        // (= last arrival time). Rounds popping before exhaustion are
-        // always in range: a pending arrival at a later time exists.
-        if (stream_done && ev.time > stream_src->last_arrival_s()) break;
+        // Streamed runs queue ingests up to the configured duration; once
+        // the stream has drained, rounds past the last arrival are dropped
+        // so the ingest set matches the materialized run's horizon (= last
+        // arrival time). Rounds popping before exhaustion are always in
+        // range: a pending arrival at a later time exists.
+        if (stream.has_value() && arrivals_done &&
+            ev.time > stream->last_arrival_s()) {
+          break;
+        }
         ingest_round(tenant.id, tenant.job->make_round(ev.round), ev.time);
         break;
       case EvType::kArrival: {
-        // Replace the popped arrival with the stream's next one for this
-        // tenant (strictly later in time, so queue order is unaffected).
-        if (stream_src.has_value() && !stream_done) pull_stream_arrival();
+        // Replace the popped arrival with the source's next one (no
+        // earlier in time, so queue order is unaffected).
+        if (!arrivals_done) pull_arrival();
         const auto local =
             route_local(config_.routing, n_local, ev.req.request);
-        if (mode == Mode::kReplay) {
+        if (!spec.queued) {
           (void)serve_on(local, ev.req.request, ev.time);
           break;
         }
@@ -349,7 +353,7 @@ void ShardedStore::run_tenant(
             tracer->instant("sched.reject", "serve", ev.time,
                             tenant.shards[local]);
           }
-          out.push_back(rec);  // metrics/SLO booked in book_telemetry()
+          io.records.push_back(rec);  // metrics/SLO booked in book_telemetry()
           if (closed != nullptr) {
             // The virtual user was shed, not absorbed: it backs off one
             // think interval and re-issues, so the closed-loop population
@@ -374,43 +378,50 @@ void ShardedStore::run_tenant(
   for (const auto& sched : scheds) {
     for (std::size_t c = 0; c < fed::kPolicyClassCount; ++c) {
       const auto& s = sched.class_stats(static_cast<fed::PolicyClass>(c));
-      sched_out[c].admitted += s.admitted;
-      sched_out[c].rejected += s.rejected;
-      sched_out[c].peak_queued = std::max(sched_out[c].peak_queued,
-                                          s.peak_queued);
+      io.sched[c].admitted += s.admitted;
+      io.sched[c].rejected += s.rejected;
+      io.sched[c].peak_queued = std::max(io.sched[c].peak_queued,
+                                         s.peak_queued);
     }
   }
 }
 
-ServiceReport ShardedStore::run_all_tenants(
-    Mode mode, const std::vector<ServiceRequest>& trace, double horizon_s,
-    double round_interval_s, const ClosedLoopConfig* closed,
-    const std::vector<TenantMix>* mix, RoundId first_round,
-    const StreamSpec* stream) {
-  std::vector<std::vector<ServiceRequest>> per_tenant(tenants_.size());
-  for (const auto& r : trace) {
-    (void)tenant(r.tenant);  // validates
-    per_tenant[static_cast<std::size_t>(r.tenant)].push_back(r);
-  }
-
-  // Closed loop: resolve every tenant's mix up front so a bad argument
-  // fails fast with a name, not mid-run via an internal check.
-  std::vector<const TenantMix*> mix_of(tenants_.size(), nullptr);
-  if (closed != nullptr) {
-    FLSTORE_CHECK(mix != nullptr);
-    for (const auto& m : *mix) {
+ServiceReport ShardedStore::run(const RunSpec& spec) {
+  FLSTORE_CHECK(spec.round_interval_s > 0.0);
+  const int sources = int{spec.trace != nullptr} +
+                      int{spec.stream != nullptr} +
+                      int{spec.closed != nullptr};
+  FLSTORE_CHECK(sources == 1);
+  std::vector<TenantRun> per_tenant(tenants_.size());
+  if (spec.trace != nullptr) {
+    for (const auto& r : *spec.trace) {
+      (void)tenant(r.tenant);  // validates
+      per_tenant[static_cast<std::size_t>(r.tenant)].arrivals.push_back(r);
+    }
+    for (auto& io : per_tenant) {
+      std::ranges::stable_sort(io.arrivals, {}, [](const ServiceRequest& r) {
+        return r.request.arrival_s;
+      });
+    }
+  } else {
+    // Resolve every tenant's mix entry up front so a bad argument fails
+    // fast with a name — a streamed timeline filters by its own id, so a
+    // typo'd tenant would otherwise just vanish silently.
+    FLSTORE_CHECK(spec.mix != nullptr);
+    for (const auto& m : *spec.mix) {
       (void)tenant(m.tenant);  // validates
-      auto& slot = mix_of[static_cast<std::size_t>(m.tenant)];
+      auto& slot = per_tenant[static_cast<std::size_t>(m.tenant)].mix;
       if (slot != nullptr) {
         throw InvalidArgument("duplicate mix entry for tenant " +
                               std::to_string(m.tenant));
       }
       slot = &m;
     }
-    for (const auto& t : tenants_) {
-      if (mix_of[static_cast<std::size_t>(t.id)] == nullptr) {
+    for (std::size_t i = 0; i < per_tenant.size(); ++i) {
+      // Closed-loop users draw their requests from their tenant's entry.
+      if (spec.closed != nullptr && per_tenant[i].mix == nullptr) {
         throw InvalidArgument("closed-loop mix is missing tenant " +
-                              std::to_string(t.id));
+                              std::to_string(i));
       }
     }
   }
@@ -420,41 +431,35 @@ ServiceReport ShardedStore::run_all_tenants(
   for (auto& co : coalescers_) co->reset();
   const auto coalescer_before = coalescer_stats();
 
-  std::vector<std::vector<ServiceRecord>> results(tenants_.size());
-  std::vector<std::array<SchedClassStats, fed::kPolicyClassCount>> sched_stats(
-      tenants_.size());
-  std::vector<std::exception_ptr> errors(tenants_.size());
-  ThreadPool pool(config_.worker_threads);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(tenants_.size());
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    tasks.push_back([this, i, mode, &per_tenant, horizon_s, round_interval_s,
-                     first_round, closed, &mix_of, stream, &results,
-                     &sched_stats, &errors] {
-      try {
-        run_tenant(tenants_[i], mode, per_tenant[i], horizon_s,
-                   round_interval_s, first_round, closed, mix_of[i], stream,
-                   results[i], sched_stats[i]);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  pool.run_all(std::move(tasks));
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
+  // Fork-join over tenants: each worker claims the next unclaimed tenant
+  // until none is left. A tenant's failure is captured on its worker and
+  // rethrown here, lowest tenant first.
+  std::atomic<std::size_t> next_tenant{0};
+  run_replicated(
+      std::min(config_.worker_threads, static_cast<int>(tenants_.size())),
+      [&](int /*worker*/) {
+        for (auto i = next_tenant.fetch_add(1); i < per_tenant.size();
+             i = next_tenant.fetch_add(1)) {
+          try {
+            run_tenant(spec, tenants_[i], per_tenant[i]);
+          } catch (...) {
+            per_tenant[i].error = std::current_exception();
+          }
+        }
+      });
+  for (const auto& io : per_tenant) {
+    if (io.error) std::rethrow_exception(io.error);
   }
 
   ServiceReport report;
-  for (auto& r : results) {
-    report.records.insert(report.records.end(), r.begin(), r.end());
-  }
-  for (const auto& per_class : sched_stats) {
+  for (const auto& io : per_tenant) {
+    report.records.insert(report.records.end(), io.records.begin(),
+                          io.records.end());
     for (std::size_t c = 0; c < fed::kPolicyClassCount; ++c) {
-      report.scheduler[c].admitted += per_class[c].admitted;
-      report.scheduler[c].rejected += per_class[c].rejected;
-      report.scheduler[c].peak_queued = std::max(
-          report.scheduler[c].peak_queued, per_class[c].peak_queued);
+      report.scheduler[c].admitted += io.sched[c].admitted;
+      report.scheduler[c].rejected += io.sched[c].rejected;
+      report.scheduler[c].peak_queued =
+          std::max(report.scheduler[c].peak_queued, io.sched[c].peak_queued);
     }
   }
   // Canonical order, independent of tenant task interleaving.
@@ -484,7 +489,7 @@ ServiceReport ShardedStore::run_all_tenants(
     // Publish the autoscaler inputs at the run's end: burn-rate gauges from
     // everything recorded above, plus the shared cold tier's
     // crash-consistency exposure.
-    double end_s = horizon_s;
+    double end_s = spec.horizon_s;
     for (const auto& r : report.records) {
       if (!r.rejected) end_s = std::max(end_s, r.completion_s());
     }
@@ -496,63 +501,64 @@ ServiceReport ShardedStore::run_all_tenants(
   return report;
 }
 
+namespace {
+
+double last_arrival_s(const std::vector<ServiceRequest>& trace) {
+  double t = 0.0;
+  for (const auto& r : trace) t = std::max(t, r.request.arrival_s);
+  return t;
+}
+
+/// The first round a window starting at `start_s` owns: the previous
+/// window's horizon already ingested every round through
+/// floor(start_s / interval).
+RoundId first_round_from(double start_s, double round_interval_s) {
+  FLSTORE_CHECK(round_interval_s > 0.0);
+  if (start_s <= 0.0) return 0;
+  return static_cast<RoundId>(std::floor(start_s / round_interval_s)) + 1;
+}
+
+}  // namespace
+
 ServiceReport ShardedStore::replay(const std::vector<ServiceRequest>& trace,
                                    double round_interval_s) {
-  double horizon = 0.0;
-  for (const auto& r : trace) horizon = std::max(horizon, r.request.arrival_s);
-  return run_all_tenants(Mode::kReplay, trace, horizon, round_interval_s,
-                         nullptr, nullptr);
+  return run({.queued = false,
+              .horizon_s = last_arrival_s(trace),
+              .round_interval_s = round_interval_s,
+              .trace = &trace});
 }
 
 ServiceReport ShardedStore::serve_open_loop(
     const std::vector<ServiceRequest>& trace, double round_interval_s) {
-  double horizon = 0.0;
-  for (const auto& r : trace) horizon = std::max(horizon, r.request.arrival_s);
-  return run_all_tenants(Mode::kQueued, trace, horizon, round_interval_s,
-                         nullptr, nullptr);
+  return run({.horizon_s = last_arrival_s(trace),
+              .round_interval_s = round_interval_s,
+              .trace = &trace});
 }
 
 ServiceReport ShardedStore::serve_open_loop_stream(
     const StreamConfig& config, const std::vector<TenantMix>& mix) {
-  FLSTORE_CHECK(config.round_interval_s > 0.0);
-  // Validate the mix against the tenant registry up front — the streaming
-  // timelines filter by their own id, so a typo'd tenant would otherwise
-  // just vanish silently instead of failing fast.
-  std::vector<char> seen(tenants_.size(), 0);
-  for (const auto& m : mix) {
-    (void)tenant(m.tenant);  // validates
-    if (seen[static_cast<std::size_t>(m.tenant)] != 0) {
-      throw InvalidArgument("duplicate mix entry for tenant " +
-                            std::to_string(m.tenant));
-    }
-    seen[static_cast<std::size_t>(m.tenant)] = 1;
-  }
-  const StreamSpec spec{&config, &mix};
-  return run_all_tenants(Mode::kQueued, {}, config.duration_s,
-                         config.round_interval_s, nullptr, nullptr, 0, &spec);
+  return run({.horizon_s = config.duration_s,
+              .round_interval_s = config.round_interval_s,
+              .stream = &config,
+              .mix = &mix});
 }
 
 ServiceReport ShardedStore::serve_open_loop_window(
     const std::vector<ServiceRequest>& trace, double round_interval_s,
     double window_start_s, double window_end_s) {
-  FLSTORE_CHECK(round_interval_s > 0.0);
   FLSTORE_CHECK(window_end_s > window_start_s);
-  // The previous window's horizon already ingested every round through
-  // floor(start / interval); this window owns the rest.
-  const auto first_round =
-      window_start_s <= 0.0
-          ? RoundId{0}
-          : static_cast<RoundId>(
-                std::floor(window_start_s / round_interval_s)) +
-                1;
-  return run_all_tenants(Mode::kQueued, trace, window_end_s, round_interval_s,
-                         nullptr, nullptr, first_round);
+  return run({.horizon_s = window_end_s,
+              .first_round = first_round_from(window_start_s, round_interval_s),
+              .round_interval_s = round_interval_s,
+              .trace = &trace});
 }
 
 ServiceReport ShardedStore::serve_closed_loop(
     const ClosedLoopConfig& config, const std::vector<TenantMix>& mix) {
-  return run_all_tenants(Mode::kQueued, {}, config.duration_s,
-                         config.round_interval_s, &config, &mix);
+  return run({.horizon_s = config.duration_s,
+              .round_interval_s = config.round_interval_s,
+              .closed = &config,
+              .mix = &mix});
 }
 
 void ShardedStore::book_telemetry(const ServiceReport& report) {

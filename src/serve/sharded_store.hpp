@@ -1,20 +1,28 @@
 // ShardedStore — the concurrent serving plane in front of core::FLStore.
 //
 // Owns N FLStore cache shards grouped by tenant over one shared persistent
-// store, a worker-thread pool, per-shard request schedulers, and a
-// single-flight Coalescer on the cold miss path. It turns the per-request
-// simulator into a throughput-oriented system: offered load, queueing,
-// admission control, tail latency.
+// store, per-shard request schedulers, and a single-flight Coalescer per
+// tenant on the cold miss path. It turns the per-request simulator into a
+// throughput-oriented system: offered load, queueing, admission control,
+// tail latency. Tenants are the paper's multi-tenancy (Appendix A): each
+// gets isolated cache shards with its own FLStoreConfig, and its cold
+// objects live under its own namespace in the shared store.
+//
+// Every serving entry point (replay, the open-loop modes, closed loop) is
+// one run of the same per-tenant timeline; they differ only in whether
+// shards queue, the horizon, the first round to ingest, and where arrivals
+// come from (a trace, an ArrivalStream, or closed-loop virtual users).
 //
 // Concurrency model (and why results are deterministic):
-//  * Each tenant's shards + scheduler form one discrete-event task driven
-//    purely by simulated time (arrivals, ingests, completions). Tasks run
-//    in parallel on the pool — tenants share nothing mutable except the
-//    internally-synchronized ObjectStore. Each tenant gets its own
+//  * Each tenant's shards + scheduler form one discrete-event timeline
+//    driven purely by simulated time (arrivals, ingests, completions).
+//    A run forks min(worker_threads, tenants) threads that claim tenants
+//    from a shared counter — tenants share nothing mutable except the
+//    internally-synchronized cold store. Each tenant gets its own
 //    Coalescer (cold-store keys are tenant-namespaced, so there is nothing
 //    to share, and a shared one would let tenant A's pruning clock evict
 //    tenant B's still-in-flight windows).
-//  * Within a tenant the task is sequential, so scheduler decisions and
+//  * Within a tenant the timeline is sequential, so scheduler decisions and
 //    coalescing windows depend only on virtual time. Per-request results
 //    are bit-identical for any worker_threads value (regression-tested).
 //  * FLStore itself stays single-threaded per shard; each shard is guarded
@@ -37,7 +45,6 @@
 #include "serve/load_generator.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/service_metrics.hpp"
-#include "serve/thread_pool.hpp"
 
 namespace flstore::serve {
 
@@ -60,7 +67,9 @@ enum class Routing : std::uint8_t {
 }
 
 struct ShardedStoreConfig {
-  int worker_threads = 4;  ///< 0 = run tenant tasks inline
+  /// Threads a run spreads tenants over; 0 or 1 runs every tenant on the
+  /// caller's thread.
+  int worker_threads = 4;
   Routing routing = Routing::kClassAffinity;
   /// Route cold miss fetches through the shared single-flight Coalescer.
   bool coalesce_cold_fetches = true;
@@ -121,8 +130,8 @@ class ShardedStore {
     return tenants_.size();
   }
   /// Unlocked peek at a shard's FLStore for tests and reports. Only valid
-  /// while no run is in flight (the plane is quiescent between run_all
-  /// calls), which the analysis cannot see — hence the annotation opt-out.
+  /// while no run is in flight (the plane is quiescent between runs),
+  /// which the analysis cannot see — hence the annotation opt-out.
   [[nodiscard]] const core::FLStore& shard(int index) const
       NO_THREAD_SAFETY_ANALYSIS {
     return *shards_[static_cast<std::size_t>(index)]->store;
@@ -147,7 +156,7 @@ class ShardedStore {
 
   /// Open-loop replay without queueing: every request is served at its
   /// arrival time on its routed shard (the paper's per-request semantics,
-  /// sharded). Deterministic for any pool size.
+  /// sharded). Deterministic for any worker_threads.
   ServiceReport replay(const std::vector<ServiceRequest>& trace,
                        double round_interval_s);
 
@@ -329,45 +338,38 @@ class ShardedStore {
     std::vector<int> retired;  ///< this tenant's retired global slots
   };
 
-  enum class Mode { kReplay, kQueued };
-
-  /// Streaming-mode source: each tenant timeline builds its own
-  /// ArrivalStream replica from this (streams are deterministic, so the
-  /// replicas replay one shared sequence) and filters it to its arrivals.
-  struct StreamSpec {
-    const StreamConfig* config = nullptr;
+  /// One serving run; every public serving entry point fills one in.
+  /// Rounds [first_round, floor(horizon_s / round_interval_s)] ingest.
+  struct RunSpec {
+    bool queued = true;  ///< per-shard schedulers; false serves on arrival
+    double horizon_s = 0.0;
+    RoundId first_round = 0;  ///< windows: the first round not yet ingested
+    double round_interval_s = 0.0;
+    // Exactly one arrival source:
+    const std::vector<ServiceRequest>* trace = nullptr;
+    const StreamConfig* stream = nullptr;
+    const ClosedLoopConfig* closed = nullptr;
+    /// The tenant mix the stream or the closed-loop users draw from.
     const std::vector<TenantMix>* mix = nullptr;
   };
+  /// One tenant's share of a run: its inputs and its timeline's outputs.
+  struct TenantRun;
 
   [[nodiscard]] const Tenant& tenant(JobId id) const;
 
-  /// Run one tenant's discrete-event timeline (see .cpp). `arrivals` must
-  /// be sorted by arrival time; closed-loop passes `closed` instead and
-  /// streaming runs pass `stream` (arrivals then pull from the stream one
-  /// at a time). Rounds [first_round, floor(horizon/interval)] ingest
-  /// (windowed runs pass the first round not yet ingested); per-class
-  /// scheduler stats accumulate into `sched_out` (queued mode only).
-  void run_tenant(const Tenant& tenant, Mode mode,
-                  const std::vector<ServiceRequest>& arrivals,
-                  double horizon_s, double round_interval_s,
-                  RoundId first_round, const ClosedLoopConfig* closed,
-                  const TenantMix* mix, const StreamSpec* stream,
-                  std::vector<ServiceRecord>& out,
-                  std::array<SchedClassStats, fed::kPolicyClassCount>&
-                      sched_out);
+  /// Validate `spec`, run every tenant's timeline, and merge them into one
+  /// canonically ordered report.
+  ServiceReport run(const RunSpec& spec);
 
-  ServiceReport run_all_tenants(
-      Mode mode, const std::vector<ServiceRequest>& trace, double horizon_s,
-      double round_interval_s, const ClosedLoopConfig* closed,
-      const std::vector<TenantMix>* mix, RoundId first_round = 0,
-      const StreamSpec* stream = nullptr);
+  /// Run one tenant's discrete-event timeline (see .cpp).
+  void run_tenant(const RunSpec& spec, const Tenant& tenant, TenantRun& io);
 
   /// Build one shard for `tenant` from its stored config (scale-out and
   /// add_tenant share this; `primary` enables cold backup on shard 0 only).
   std::unique_ptr<Shard> make_shard(const Tenant& tenant, bool primary);
 
   /// Book metrics/SLO telemetry for a finished run (single-threaded, off
-  /// the parallel data path — see run_all_tenants).
+  /// the parallel data path — see run()).
   void book_telemetry(const ServiceReport& report);
 
   ShardedStoreConfig config_;

@@ -1,47 +1,13 @@
 #include "serve/thread_pool.hpp"
 
+#include <thread>
+#include <vector>
+
+#include "common/mutex.hpp"
+
 namespace flstore::serve {
 
-ThreadPool::ThreadPool(int threads) {
-  for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const MutexLock lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  {
-    const MutexLock lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  if (workers_.empty()) return;
-  const MutexLock lock(mu_);
-  while (!queue_.empty() || active_ != 0) idle_cv_.wait(mu_);
-}
-
-void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
-  for (auto& t : tasks) submit(std::move(t));
-  wait_idle();
-}
-
-void ThreadPool::run_replicated(int threads,
-                                const std::function<void(int)>& fn) {
+void run_replicated(int threads, const std::function<void(int)>& fn) {
   if (threads <= 1) {
     fn(0);
     return;
@@ -69,26 +35,6 @@ void ThreadPool::run_replicated(int threads,
     });
   }
   for (auto& w : workers) w.join();
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      const MutexLock lock(mu_);
-      while (!stop_ && queue_.empty()) work_cv_.wait(mu_);
-      if (queue_.empty()) return;  // stop_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    task();
-    {
-      const MutexLock lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
-  }
 }
 
 }  // namespace flstore::serve

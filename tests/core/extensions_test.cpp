@@ -1,94 +1,18 @@
-// Tests for the paper's extension features: multi-tenancy (Appendix A),
-// adaptive policy selection (future work, §4.4/§D) and foundation-model
-// sharding (Appendix D).
+// Tests for the paper's extension features: adaptive policy selection
+// (future work, §4.4/§D) and foundation-model sharding (Appendix D).
+// Multi-tenancy (Appendix A) is ShardedStore's tenants; see
+// tests/serve/sharded_store_test.cpp.
 #include <gtest/gtest.h>
 
+#include "cloud/pricing.hpp"
+#include "common/error.hpp"
 #include "core/adaptive_policy.hpp"
-#include "core/multi_tenant.hpp"
-#include "sim/calibration.hpp"
+#include "core/serverless_cache.hpp"
+#include "models/model_zoo.hpp"
+#include "serverless/function_runtime.hpp"
 
 namespace flstore::core {
 namespace {
-
-// --- multi-tenancy ----------------------------------------------------------
-
-struct MultiTenantFixture : ::testing::Test {
-  MultiTenantFixture()
-      : cold(sim::objstore_link(), PricingCatalog::aws()), registry(cold) {
-    fed::FLJobConfig a;
-    a.model = "resnet18";
-    a.pool_size = 30;
-    a.clients_per_round = 6;
-    a.rounds = 20;
-    a.seed = 1;
-    fed::FLJobConfig b = a;
-    b.model = "mobilenet_v3_small";
-    b.seed = 2;
-    job_a = std::make_unique<fed::FLJob>(a);
-    job_b = std::make_unique<fed::FLJob>(b);
-  }
-
-  ObjectStore cold;
-  MultiTenantFLStore registry;
-  std::unique_ptr<fed::FLJob> job_a;
-  std::unique_ptr<fed::FLJob> job_b;
-};
-
-TEST_F(MultiTenantFixture, TenantsAreIsolated) {
-  const auto ta = registry.add_tenant(*job_a);
-  const auto tb = registry.add_tenant(*job_b);
-  EXPECT_NE(ta, tb);
-  EXPECT_EQ(registry.tenant_count(), 2U);
-
-  registry.ingest_round(ta, job_a->make_round(0), 0.0);
-  // Tenant A's cache holds round 0; tenant B's cache is empty.
-  EXPECT_GT(registry.tenant(ta).engine().cached_bytes(), 0U);
-  EXPECT_EQ(registry.tenant(tb).engine().cached_bytes(), 0U);
-  // Function pools are disjoint.
-  EXPECT_GT(registry.tenant(ta).pool().group_count(), 0U);
-  EXPECT_EQ(registry.tenant(tb).pool().group_count(), 0U);
-}
-
-TEST_F(MultiTenantFixture, PerTenantPolicyConfiguration) {
-  FLStoreConfig lru_cfg;
-  lru_cfg.policy.mode = PolicyMode::kLru;
-  const auto ta = registry.add_tenant(*job_a);           // tailored
-  const auto tb = registry.add_tenant(*job_b, lru_cfg);  // traditional
-  EXPECT_EQ(registry.tenant(ta).config().policy.mode, PolicyMode::kTailored);
-  EXPECT_EQ(registry.tenant(tb).config().policy.mode, PolicyMode::kLru);
-}
-
-TEST_F(MultiTenantFixture, ServesBothTenantsIndependently) {
-  const auto ta = registry.add_tenant(*job_a);
-  const auto tb = registry.add_tenant(*job_b);
-  registry.ingest_round(ta, job_a->make_round(0), 0.0);
-  registry.ingest_round(tb, job_b->make_round(0), 0.0);
-
-  fed::NonTrainingRequest req{1, fed::WorkloadType::kClustering, 0, kNoClient,
-                              10.0};
-  const auto ra = registry.serve(ta, req, 10.0);
-  const auto rb = registry.serve(tb, req, 10.0);
-  EXPECT_EQ(ra.misses, 0U);
-  EXPECT_EQ(rb.misses, 0U);
-  // Different models -> different compute footprints.
-  EXPECT_NE(ra.comp_s, rb.comp_s);
-}
-
-TEST_F(MultiTenantFixture, UnknownTenantThrows) {
-  EXPECT_THROW((void)registry.tenant(42), InvalidArgument);
-}
-
-TEST_F(MultiTenantFixture, InfrastructureCostSumsTenants) {
-  const auto ta = registry.add_tenant(*job_a);
-  const auto tb = registry.add_tenant(*job_b);
-  registry.ingest_round(ta, job_a->make_round(0), 0.0);
-  registry.ingest_round(tb, job_b->make_round(0), 0.0);
-  const double d = 3600.0;
-  EXPECT_NEAR(registry.infrastructure_cost(d),
-              registry.tenant(ta).infrastructure_cost(d) +
-                  registry.tenant(tb).infrastructure_cost(d),
-              1e-12);
-}
 
 // --- adaptive policy selection ----------------------------------------------
 

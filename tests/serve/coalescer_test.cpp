@@ -92,11 +92,16 @@ TEST(Coalescer, ThreadSafeUnderHammering) {
     });
   }
   for (auto& t : threads) t.join();
-  // Same simulated instant from every thread: one lead, the rest joins.
+  // Same simulated instant from every thread. The documented contract lets
+  // racing callers both pass the join check and both lead (each paying its
+  // own fetch), so the exact count of leads is scheduling-dependent; what
+  // is guaranteed is that someone leads, every call is booked exactly once,
+  // and each lead — and only a lead — reached the backend. The exact
+  // one-lead case is ConcurrentMissesShareOneFetch's, single-threaded.
   const auto stats = co.stats();
-  EXPECT_EQ(stats.leads, 1U);
-  EXPECT_EQ(stats.joins, 799U);
-  EXPECT_EQ(store.get_count(), 1U);
+  EXPECT_GE(stats.leads, 1U);
+  EXPECT_EQ(stats.leads + stats.joins, 800U);
+  EXPECT_EQ(store.get_count(), stats.leads);
 }
 
 // End-to-end: two cache shards of one tenant share the cold store and the

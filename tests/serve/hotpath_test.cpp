@@ -160,7 +160,7 @@ TEST(HotPath, PartitionedConcurrentMatchesSingleThreadedReplay) {
     reference.prefill(t, kKeys);
   }
 
-  ThreadPool::run_replicated(kWorkers, [&](int worker) {
+  run_replicated(kWorkers, [&](int worker) {
     concurrent.replay(worker, streams[static_cast<std::size_t>(worker)],
                       worker);
   });
@@ -194,7 +194,7 @@ TEST(HotPath, ConcurrentGetPutEvictInvariants) {
   for (int w = 0; w < kWorkers; ++w) {
     streams.push_back(mixed_stream(kOps, kKeys, 500 + std::uint64_t(w)));
   }
-  ThreadPool::run_replicated(kWorkers, [&](int worker) {
+  run_replicated(kWorkers, [&](int worker) {
     plane.replay(0, streams[static_cast<std::size_t>(worker)], worker);
   });
 
@@ -247,7 +247,7 @@ TEST(HotPath, StatsPollingDuringHotTrafficIsDataRaceFree) {
   for (int w = 0; w < kWorkers; ++w) {
     streams.push_back(mixed_stream(8000, kKeys, 900 + std::uint64_t(w)));
   }
-  ThreadPool::run_replicated(kWorkers, [&](int worker) {
+  run_replicated(kWorkers, [&](int worker) {
     plane.replay(0, streams[static_cast<std::size_t>(worker)], worker);
   });
   done.store(true, std::memory_order_release);

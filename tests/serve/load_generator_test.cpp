@@ -124,26 +124,22 @@ TEST(ArrivalStream, BitIdenticalAcrossRunsForEqualInputs) {
 }
 
 TEST(ArrivalStream, ConstantRateStreamMatchesMaterializedTrace) {
-  // The legacy constant-rate, no-population config: the streamed sequence
-  // must be byte-for-byte what open_loop_trace materializes.
+  // The streamed sequence must be byte-for-byte what open_loop_trace
+  // materializes — for the constant-rate, no-population config the figure
+  // benches use, and for a shaped one.
   const Jobs jobs(3);
-  OpenLoopConfig legacy;
-  legacy.offered_qps = 2.0;
-  legacy.duration_s = 900.0;
-  legacy.round_interval_s = 30.0;
-  legacy.seed = 7;
-  const auto materialized = open_loop_trace(legacy, jobs.mix());
-
-  StreamConfig cfg;
-  cfg.rate.base_qps = legacy.offered_qps;
-  cfg.duration_s = legacy.duration_s;
-  cfg.round_interval_s = legacy.round_interval_s;
-  cfg.seed = legacy.seed;
-  ArrivalStream stream(cfg, jobs.mix());
-  const auto streamed = drain(stream);
-
-  ASSERT_GT(materialized.size(), 500U);
-  expect_identical(materialized, streamed);
+  StreamConfig constant;
+  constant.rate.base_qps = 2.0;
+  constant.duration_s = 900.0;
+  constant.round_interval_s = 30.0;
+  constant.seed = 7;
+  for (const auto& cfg : {constant, shaped_config()}) {
+    const auto materialized = open_loop_trace(cfg, jobs.mix());
+    ArrivalStream stream(cfg, jobs.mix());
+    const auto streamed = drain(stream);
+    ASSERT_GT(materialized.size(), 500U);
+    expect_identical(materialized, streamed);
+  }
 }
 
 TEST(ArrivalStream, RealizedTenantMixTracksConfiguredWeights) {

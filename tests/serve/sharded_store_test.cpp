@@ -1,5 +1,6 @@
-// ShardedStore: routing, multi-tenant replay determinism under the worker
-// pool, queued serving (throughput mode), admission control, closed loop.
+// ShardedStore: routing, tenant isolation, determinism across worker
+// counts, the shared run path (trace order, mix validation), queued serving
+// (throughput mode), admission control, closed loop, live reshaping.
 #include "serve/sharded_store.hpp"
 
 #include <gtest/gtest.h>
@@ -50,9 +51,9 @@ struct Plane {
   std::unique_ptr<ShardedStore> store;
 };
 
-OpenLoopConfig open_loop(double qps, double duration) {
-  OpenLoopConfig cfg;
-  cfg.offered_qps = qps;
+StreamConfig open_loop(double qps, double duration) {
+  StreamConfig cfg;
+  cfg.rate.base_qps = qps;
   cfg.duration_s = duration;
   cfg.round_interval_s = 30.0;
   cfg.seed = 7;
@@ -84,18 +85,20 @@ void expect_identical(const ServiceReport& a, const ServiceReport& b) {
   }
 }
 
-// Acceptance criterion: a multi-tenant replay on 4 worker threads is
-// bit-identical to a single-threaded replay of the same trace.
+// Acceptance criterion: a multi-tenant replay on 1 or 4 worker threads is
+// bit-identical to a replay on the caller's thread.
 TEST(ShardedStore, ReplayDeterministicAcrossPoolSizes) {
   Plane reference(plane_config(/*threads=*/0), /*tenants=*/3);
-  Plane pooled(plane_config(/*threads=*/4), /*tenants=*/3);
   const auto trace = open_loop_trace(open_loop(0.4, 600.0), reference.mix());
   ASSERT_GT(trace.size(), 100U);
-
   const auto a = reference.store->replay(trace, 30.0);
-  const auto b = pooled.store->replay(trace, 30.0);
   ASSERT_EQ(a.records.size(), trace.size());
-  expect_identical(a, b);
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    Plane pooled(plane_config(threads), /*tenants=*/3);
+    expect_identical(a, pooled.store->replay(trace, 30.0));
+  }
 }
 
 // The queued modes are deterministic too: scheduling decisions depend only
@@ -109,25 +112,16 @@ TEST(ShardedStore, QueuedServingDeterministicAcrossPoolSizes) {
   expect_identical(a, b);
 }
 
-// A single-shard single-tenant replay matches driving the facade directly —
-// the serving plane adds no hidden cost or latency.
 // The streaming entry point is a pure re-plumbing of the materialized one:
-// for the legacy constant-rate, no-population config the two reports must
-// be bit-identical, record for record.
+// the two reports must be bit-identical, record for record.
 TEST(ShardedStore, StreamedServingMatchesMaterializedOpenLoop) {
   Plane materialized(plane_config(0), /*tenants=*/2, /*shards_each=*/2);
   Plane streamed(plane_config(0), /*tenants=*/2, /*shards_each=*/2);
 
-  const auto legacy = open_loop(0.5, 400.0);
-  const auto trace = open_loop_trace(legacy, materialized.mix());
+  const auto cfg = open_loop(0.5, 400.0);
+  const auto trace = open_loop_trace(cfg, materialized.mix());
   ASSERT_GT(trace.size(), 100U);
   const auto a = materialized.store->serve_open_loop(trace, 30.0);
-
-  StreamConfig cfg;
-  cfg.rate.base_qps = legacy.offered_qps;
-  cfg.duration_s = legacy.duration_s;
-  cfg.round_interval_s = legacy.round_interval_s;
-  cfg.seed = legacy.seed;
   const auto b = streamed.store->serve_open_loop_stream(cfg, streamed.mix());
 
   ASSERT_EQ(a.records.size(), trace.size());
@@ -152,23 +146,122 @@ TEST(ShardedStore, StreamedServingDeterministicAcrossPoolSizes) {
   expect_identical(a, b);
 }
 
+// Streamed and closed-loop runs share one mix validator: an unknown or
+// duplicated tenant fails fast by name, and closed loop also needs every
+// tenant's mix (its users draw from it).
 TEST(ShardedStore, StreamedServingRejectsUnknownOrDuplicateTenants) {
   Plane plane(plane_config(0), /*tenants=*/2);
   StreamConfig cfg;
   cfg.rate.base_qps = 0.5;
   cfg.duration_s = 60.0;
+  ClosedLoopConfig closed;
+  closed.duration_s = 60.0;
 
   auto unknown = plane.mix();
   unknown[1].tenant = 99;
-  EXPECT_THROW((void)plane.store->serve_open_loop_stream(cfg, unknown),
-               InvalidArgument);
-
   auto duplicate = plane.mix();
   duplicate[1].tenant = duplicate[0].tenant;
-  EXPECT_THROW((void)plane.store->serve_open_loop_stream(cfg, duplicate),
+  for (const auto& mix : {unknown, duplicate}) {
+    EXPECT_THROW((void)plane.store->serve_open_loop_stream(cfg, mix),
+                 InvalidArgument);
+    EXPECT_THROW((void)plane.store->serve_closed_loop(closed, mix),
+                 InvalidArgument);
+  }
+  auto missing = plane.mix();
+  missing.pop_back();
+  EXPECT_THROW((void)plane.store->serve_closed_loop(closed, missing),
                InvalidArgument);
 }
 
+// Arrivals are served in time order whatever order the trace lists them
+// in: each tenant's slice is stable-sorted before its timeline pulls from
+// it, so a reversed copy of a trace yields the identical report.
+TEST(ShardedStore, UnsortedTraceServesLikeTheSortedOne) {
+  Plane probe(plane_config(0), /*tenants=*/2, /*shards_each=*/2);
+  const auto trace = open_loop_trace(open_loop(0.5, 400.0), probe.mix());
+  ASSERT_GT(trace.size(), 100U);
+  const std::vector<ServiceRequest> reversed(trace.rbegin(), trace.rend());
+
+  const auto run = [](bool queued, const std::vector<ServiceRequest>& t) {
+    Plane plane(plane_config(2), /*tenants=*/2, /*shards_each=*/2);
+    return queued ? plane.store->serve_open_loop(t, 30.0)
+                  : plane.store->replay(t, 30.0);
+  };
+  for (const bool queued : {false, true}) {
+    SCOPED_TRACE(queued ? "serve_open_loop" : "replay");
+    const auto a = run(queued, trace);
+    ASSERT_EQ(a.records.size(), trace.size());
+    expect_identical(a, run(queued, reversed));
+  }
+}
+
+// Multi-tenancy (Appendix A): each tenant gets isolated cache shards with
+// its own policy configuration over the one shared cold store, and its
+// backups live under its own namespace there.
+struct MultiTenantFixture : ::testing::Test {
+  MultiTenantFixture()
+      : cold(sim::objstore_link(), PricingCatalog::aws()),
+        job_a(small_job(100)),
+        job_b(small_job(101)),
+        store(cold, plane_config(0)) {
+    core::FLStoreConfig lru;
+    lru.policy.mode = core::PolicyMode::kLru;
+    ta = store.add_tenant(job_a, {}, /*cache_shards=*/2);   // tailored
+    tb = store.add_tenant(job_b, lru, /*cache_shards=*/2);  // traditional
+  }
+
+  [[nodiscard]] JobId owner(int global) const {
+    return global >= store.tenant_primary_shard(tb) ? tb : ta;
+  }
+
+  ObjectStore cold;
+  fed::FLJob job_a;
+  fed::FLJob job_b;
+  ShardedStore store;
+  JobId ta{};
+  JobId tb{};
+};
+
+TEST_F(MultiTenantFixture, TenantsAreIsolated) {
+  EXPECT_NE(ta, tb);
+  ASSERT_EQ(store.tenant_count(), 2U);
+  ASSERT_EQ(store.shard_count(), 4);
+
+  // Ingesting into tenant A fills A's shards only: caches and function
+  // pools are disjoint.
+  store.ingest_round(ta, job_a.make_round(0), 0.0);
+  for (int s = 0; s < store.shard_count(); ++s) {
+    SCOPED_TRACE(s);
+    const auto& shard = store.shard(s);
+    if (owner(s) == ta) {
+      EXPECT_GT(shard.engine().cached_bytes(), 0U);
+      EXPECT_GT(shard.pool().group_count(), 0U);
+    } else {
+      EXPECT_EQ(shard.engine().cached_bytes(), 0U);
+      EXPECT_EQ(shard.pool().group_count(), 0U);
+    }
+  }
+
+  // Round-0 backups land under disjoint per-tenant prefixes.
+  store.ingest_round(tb, job_b.make_round(0), 0.0);
+  const auto aggregate = MetadataKey::aggregate(0).object_name();
+  EXPECT_TRUE(cold.contains("t0/" + aggregate));
+  EXPECT_TRUE(cold.contains("t1/" + aggregate));
+  EXPECT_FALSE(cold.contains(aggregate));
+}
+
+TEST_F(MultiTenantFixture, PerTenantPolicyConfiguration) {
+  // Each tenant's policy configuration reaches its own shards.
+  for (int s = 0; s < store.shard_count(); ++s) {
+    SCOPED_TRACE(s);
+    EXPECT_EQ(store.shard(s).config().policy.mode,
+              owner(s) == ta ? core::PolicyMode::kTailored
+                             : core::PolicyMode::kLru);
+  }
+}
+
+// A single-shard single-tenant replay matches driving the facade directly —
+// the serving plane adds no hidden cost or latency.
 TEST(ShardedStore, SingleShardReplayMatchesDirectFacade) {
   auto cfg = plane_config(2);
   // The bare-facade reference below has no interceptor, so run the plane
