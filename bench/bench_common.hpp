@@ -1,6 +1,7 @@
-// Shared scaffolding for the benchmark binaries (DESIGN.md §4): every bench
-// prints a banner naming the paper artifact it regenerates, runs the
-// simulation, and closes with paper-vs-measured headlines.
+// Shared scaffolding for the benchmark binaries (README §Build, test,
+// bench): every bench prints a banner naming the paper artifact it
+// regenerates, runs the simulation, and closes with paper-vs-measured
+// headlines.
 //
 // Common CLI (parse_args):
 //   --scale X      shrink rounds/request counts proportionally (CI smoke

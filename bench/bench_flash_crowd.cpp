@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "backend/object_store_backend.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "control/control_loop.hpp"
@@ -86,7 +87,7 @@ struct Arm {
   }
 
   obs::Telemetry telemetry;
-  ObjectStore cold;
+  backend::ObjectStoreBackend cold;
   fed::FLJob job;
   std::unique_ptr<serve::ShardedStore> store;
 };

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "backend/object_store_backend.hpp"
 #include "common/rng.hpp"
 #include "obs/hot_counters.hpp"
 #include "serve/sharded_store.hpp"
@@ -116,7 +117,7 @@ struct CellResult {
 CellResult run_cell(const fed::FLJob& job, bool partitioned, const MixSpec& mix,
                     int threads, int ops_per_thread,
                     const ZipfDistribution& contended_zipf) {
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(), PricingCatalog::aws());
   serve::ShardedStoreConfig cfg;
   cfg.worker_threads = 0;  // the hot path spawns its own workers
   obs::HotCounters counters;

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "backend/object_store_backend.hpp"
 #include "common/table.hpp"
 #include "serve/sharded_store.hpp"
 
@@ -137,7 +138,7 @@ struct ServeOutcome {
 };
 
 ServeOutcome serve_shape(const ShapeSetup& setup) {
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(), PricingCatalog::aws());
   serve::ShardedStoreConfig cfg;
   cfg.worker_threads = 0;  // deterministic metrics regardless of host cores
   cfg.routing = serve::Routing::kHash;

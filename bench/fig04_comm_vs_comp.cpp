@@ -7,6 +7,7 @@
 // 2.8 s — a 31x gap, the motivation for unifying the planes.
 #include "bench_common.hpp"
 
+#include "backend/object_store_backend.hpp"
 #include "core/flstore.hpp"
 
 using namespace flstore;
@@ -35,7 +36,8 @@ int main(int argc, char** argv) {
     job_cfg.rounds =
         std::max<RoundId>(1, static_cast<RoundId>(30 * args.scale));
     fed::FLJob job(job_cfg);
-    ObjectStore store(sim::objstore_link(), PricingCatalog::aws());
+    backend::ObjectStoreBackend store(sim::objstore_link(),
+                                      PricingCatalog::aws());
     const auto fn_profile = core::function_runtime_config(job.model()).profile;
 
     // Populate the data plane.

@@ -23,6 +23,7 @@
 #include <optional>
 #include <set>
 
+#include "backend/object_store_backend.hpp"
 #include "obs/instrumented_backend.hpp"
 #include "obs/telemetry.hpp"
 #include "serve/load_generator.hpp"
@@ -92,7 +93,8 @@ int main(int argc, char** argv) {
         {4, serve::Routing::kHash}};
     if (qps == 1.0) cells.push_back({4, serve::Routing::kClassAffinity});
     for (const auto& [shards, routing] : cells) {
-      ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+      backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                       PricingCatalog::aws());
       serve::ShardedStoreConfig cfg;
       cfg.worker_threads = 2;
       cfg.routing = routing;
@@ -147,7 +149,8 @@ int main(int argc, char** argv) {
   double cost_with = 0.0, cost_without = 0.0;
   std::uint64_t gets_with = 0, gets_without = 0;
   for (const bool coalesce : {false, true}) {
-    ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+    backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                     PricingCatalog::aws());
     serve::ShardedStoreConfig cfg;
     cfg.worker_threads = 2;
     cfg.routing = serve::Routing::kHash;
@@ -158,12 +161,13 @@ int main(int argc, char** argv) {
     (void)plane.add_tenant(job, store_cfg, 4);
     const auto report = plane.replay(co_trace, kRoundIntervalS);
     const auto stats = report.coalescer;
-    co.add_row({coalesce ? "on" : "off", std::to_string(cold.get_count()),
+    co.add_row({coalesce ? "on" : "off",
+                std::to_string(cold.store().get_count()),
                 std::to_string(stats.joins), fmt(stats.fees_saved_usd, 6),
                 fmt(stats.wait_saved_s, 1), fmt(report.total_cost_usd(), 2),
                 fmt(report.latencies().percentile(95.0), 2)});
     (coalesce ? cost_with : cost_without) = report.total_cost_usd();
-    (coalesce ? gets_with : gets_without) = cold.get_count();
+    (coalesce ? gets_with : gets_without) = cold.store().get_count();
   }
   std::printf("%s", co.to_string().c_str());
 
@@ -190,7 +194,8 @@ int main(int argc, char** argv) {
                           {core::PolicyMode::kLru, false}};
   double part_hit_rate = 0.0, plain_hit_rate = 0.0;
   for (const auto& cell : cells) {
-    ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+    backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                     PricingCatalog::aws());
     serve::ShardedStoreConfig cfg;
     cfg.worker_threads = 2;
     cfg.routing = serve::Routing::kClassAffinity;
@@ -256,8 +261,8 @@ int main(int argc, char** argv) {
   throttled_cfg.throttle.burst_ops = 2.0;
   const auto run_obs_cell =
       [&](obs::Telemetry* telemetry) -> serve::ServiceReport {
-    ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
-    backend::ObjectStoreBackend raw(cold, throttled_cfg);
+    backend::ObjectStoreBackend raw(sim::objstore_link(), PricingCatalog::aws(),
+                                    throttled_cfg);
     std::optional<obs::InstrumentedBackend> wrapped;
     if (telemetry != nullptr) {
       obs::InstrumentedBackend::Options opts;

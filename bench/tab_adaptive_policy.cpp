@@ -8,6 +8,7 @@
 // hit rates, then let the bandit learn online.
 #include "bench_common.hpp"
 
+#include "backend/object_store_backend.hpp"
 #include "core/adaptive_policy.hpp"
 #include "core/flstore.hpp"
 #include "fed/trace.hpp"
@@ -24,7 +25,7 @@ int main() {
   job_cfg.rounds = 400;
   fed::FLJob job(job_cfg);
 
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(), PricingCatalog::aws());
   {
     core::FLStoreConfig filler_cfg;
     filler_cfg.policy.mode = core::PolicyMode::kLru;

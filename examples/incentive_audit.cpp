@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <map>
 
+#include "backend/object_store_backend.hpp"
 #include "common/table.hpp"
 #include "core/flstore.hpp"
 #include "fed/fl_job.hpp"
@@ -24,7 +25,7 @@ int main() {
   job_cfg.rounds = 30;
   fed::FLJob job(job_cfg);
 
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(), PricingCatalog::aws());
   core::FLStore store(core::FLStoreConfig{}, job, cold);
   for (RoundId r = 0; r < job_cfg.rounds; ++r) {
     store.ingest_round(job.make_round(r), 60.0 * r);

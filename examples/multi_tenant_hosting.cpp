@@ -16,8 +16,8 @@
 using namespace flstore;
 
 int main() {
-  ObjectStore shared_store(sim::objstore_link(), PricingCatalog::aws());
-  backend::ObjectStoreBackend shared_cold(shared_store);
+  backend::ObjectStoreBackend shared_cold(sim::objstore_link(),
+                                          PricingCatalog::aws());
   serve::ShardedStore host(shared_cold);
 
   // Tenant A: a hospital consortium training EfficientNet, running

@@ -5,6 +5,7 @@
 //   ./examples/quickstart
 #include <cstdio>
 
+#include "backend/object_store_backend.hpp"
 #include "baselines/aggregator_baseline.hpp"
 #include "common/table.hpp"
 #include "core/flstore.hpp"
@@ -23,7 +24,7 @@ int main() {
   fed::FLJob job(job_cfg);
 
   // 2. A persistent data plane (S3/MinIO-like) shared by every system.
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(), PricingCatalog::aws());
 
   // 3. FLStore with default tailored policies, and the ObjStore-Agg
   //    baseline for comparison.

@@ -1,11 +1,10 @@
 // ObjectStoreBackend — the cloud object store (S3/MinIO) as a StorageBackend.
 //
-// A thin adapter over the existing ObjectStore: identical per-op latencies
-// and request fees (the legacy FLStore(ObjectStore&) constructor wraps one
-// of these and reproduces the old numbers bit-for-bit), plus the interface's
-// batched multi-put (one streamed transfer instead of per-object round
-// trips — S3 still charges every PUT), optional admission throttling, and
-// the op ledger. idle_cost() is the GB-month storage fee.
+// A thin adapter over the ObjectStore bucket model: identical per-op
+// latencies and request fees, plus the interface's batched multi-put (one
+// streamed transfer instead of per-object round trips — S3 still charges
+// every PUT), optional admission throttling, and the op ledger. idle_cost()
+// is the GB-month storage fee.
 #pragma once
 
 #include "backend/storage_backend.hpp"
@@ -19,8 +18,10 @@ class ObjectStoreBackend final : public StorageBackend {
     Throttle::Config throttle;  ///< ops_per_s = 0: unthrottled (default)
   };
 
-  /// Non-owning: `store` is the shared persistent tier and must outlive the
-  /// backend (same lifetime contract core::FLStore already had).
+  /// Non-owning: `store` must outlive the backend. Two adapters over one
+  /// bucket share contents but not op ledgers (sim::Scenario's FLStore vs
+  /// its baselines). perfbench/src/workloads.cpp also calls this; its
+  /// sources stay fixed so its measurements compare across commits.
   explicit ObjectStoreBackend(ObjectStore& store, Config config = {})
       : store_(&store), config_(config), throttle_(config.throttle) {}
 

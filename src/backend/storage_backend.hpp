@@ -4,7 +4,7 @@
 // cloud object stores and provisioned cloud caches on latency *and* cost
 // (Figs 7-10, 17). To sweep those baselines head-to-head through one code
 // path, the cold tier behind core::FLStore / serve::ShardedStore is an
-// abstract StorageBackend instead of a hard-wired ObjectStore&:
+// abstract StorageBackend instead of a hard-wired object store:
 //
 //   ObjectStoreBackend  — S3/MinIO semantics (per-request fees, GB-month
 //                         storage, high per-object latency)
@@ -21,8 +21,7 @@
 // ops/s throttle surfaces as extra per-op latency, never as an error.
 //
 // Implementations must be internally synchronized: the serving plane drives
-// one shared backend from many tenant timelines at once (the same contract
-// ObjectStore already honours).
+// one shared backend from many tenant timelines at once.
 #pragma once
 
 #include <cstdint>
@@ -171,7 +170,7 @@ class StorageBackend {
   virtual ~StorageBackend() = default;
 
   /// Store (or overwrite) an object at simulated time `now`.
-  /// `logical_bytes` defaults to the blob size (see ObjectStore).
+  /// `logical_bytes` 0 means the blob size (see effective_logical).
   virtual PutResult put(const std::string& name, Blob blob,
                         units::Bytes logical_bytes, double now) = 0;
 

@@ -41,29 +41,30 @@ std::vector<std::pair<MetadataKey, EncodedObject>> encode_round(
 
 AggregatorBaseline::AggregatorBaseline(BaselineConfig config,
                                        const fed::FLJob& job,
-                                       ObjectStore& store)
+                                       backend::StorageBackend& store)
     : config_(config),
       job_(&job),
       store_(&store),
       vm_("ml.m5.4xlarge", config.vm_profile, PricingCatalog::aws()) {}
 
 void AggregatorBaseline::ingest_round(const fed::RoundRecord& record,
-                                      double /*now*/) {
+                                      double now) {
   for (auto& [key, obj] : encode_round(record)) {
     (void)store_->put(key.object_name(), std::move(obj.blob),
-                      obj.logical_bytes);
+                      obj.logical_bytes, now);
   }
 }
 
 double AggregatorBaseline::store_result(const std::string& name,
-                                        units::Bytes bytes, CostMeter& fees) {
-  const auto put = store_->put(name, Blob(1), bytes);
+                                        units::Bytes bytes, CostMeter& fees,
+                                        double now) {
+  const auto put = store_->put(name, Blob(1), bytes, now);
   fees.charge(CostCategory::kStorageService, put.request_fee_usd);
   return put.latency_s;
 }
 
 BaselineServeResult AggregatorBaseline::serve(
-    const fed::NonTrainingRequest& req, double /*now*/) {
+    const fed::NonTrainingRequest& req, double now) {
   BaselineServeResult res;
   res.comm_s = config_.routing_overhead_s;
   CostMeter fees;
@@ -75,7 +76,7 @@ BaselineServeResult AggregatorBaseline::serve(
   // Every object crosses the network into the VM's memory — the separated
   // data/compute planes of Fig 3.
   for (const auto& key : workload.data_needs(req, *job_)) {
-    auto fetched = fetch(key, fees);
+    auto fetched = fetch(key, fees, now);
     res.comm_s += fetched.latency_s;
     if (fetched.cache_hit) {
       ++res.cache_hits;
@@ -89,7 +90,7 @@ BaselineServeResult AggregatorBaseline::serve(
   res.comp_s = vm_.execution_time(res.output.work);
 
   res.comm_s += store_result("results/" + std::to_string(req.id),
-                             res.output.result_bytes, fees);
+                             res.output.result_bytes, fees, now);
 
   res.latency_s = res.comm_s + res.comp_s;
   // Per-request serving cost: the VM-time this request occupied (waiting on
@@ -99,12 +100,13 @@ BaselineServeResult AggregatorBaseline::serve(
 }
 
 double AggregatorBaseline::infrastructure_cost(double seconds) const {
-  return vm_.time_cost(seconds) + store_->storage_cost(seconds);
+  return vm_.time_cost(seconds) + store_->idle_cost(seconds);
 }
 
 AggregatorBaseline::Fetched ObjStoreAggregator::fetch(const MetadataKey& key,
-                                                      CostMeter& fees) {
-  auto got = store_->get(key.object_name());
+                                                      CostMeter& fees,
+                                                      double now) {
+  auto got = store_->get(key.object_name(), now);
   fees.charge(CostCategory::kStorageService, got.request_fee_usd);
   if (!got.found) {
     throw NotFound("object store lacks " + key.object_name());
@@ -113,43 +115,47 @@ AggregatorBaseline::Fetched ObjStoreAggregator::fetch(const MetadataKey& key,
 }
 
 CacheAggregator::CacheAggregator(BaselineConfig config, const fed::FLJob& job,
-                                 ObjectStore& store, units::Bytes working_set,
-                                 Link cache_link)
-    : AggregatorBaseline(config, job, store) {
-  const auto& pricing = PricingCatalog::aws();
-  const int nodes = std::max(1, pricing.cache_nodes_for(working_set));
-  cache_ = std::make_unique<MemCacheService>(nodes, cache_link, pricing);
-}
+                                 backend::StorageBackend& store,
+                                 units::Bytes working_set, Link cache_link)
+    : AggregatorBaseline(config, job, store),
+      // A fixed fleet: over-capacity writes evict LRU, the bill never grows.
+      cache_({.nodes = std::max(
+                  1, PricingCatalog::aws().cache_nodes_for(working_set)),
+              .auto_scale = false,
+              .link = cache_link,
+              .throttle = {}},
+             PricingCatalog::aws()) {}
 
 void CacheAggregator::ingest_round(const fed::RoundRecord& record,
                                    double now) {
   AggregatorBaseline::ingest_round(record, now);
   // Write-through into the cache tier so reads hit memory, not the store.
   for (auto& [key, obj] : encode_round(record)) {
-    auto blob = std::make_shared<const Blob>(std::move(obj.blob));
-    (void)cache_->put(key.object_name(), std::move(blob), obj.logical_bytes);
+    (void)cache_.put(key.object_name(), std::move(obj.blob), obj.logical_bytes,
+                     now);
   }
 }
 
 AggregatorBaseline::Fetched CacheAggregator::fetch(const MetadataKey& key,
-                                                   CostMeter& fees) {
-  auto hit = cache_->get(key.object_name());
-  if (hit.hit) {
+                                                   CostMeter& fees,
+                                                   double now) {
+  auto hit = cache_.get(key.object_name(), now);
+  if (hit.found) {
     return {hit.blob, hit.latency_s, true};
   }
   // Fall back to the store and repopulate the cache tier.
-  auto got = store_->get(key.object_name());
+  auto got = store_->get(key.object_name(), now);
   fees.charge(CostCategory::kStorageService, got.request_fee_usd);
   if (!got.found) {
     throw NotFound("data plane lacks " + key.object_name());
   }
-  (void)cache_->put(key.object_name(), got.blob, got.logical_bytes);
+  (void)cache_.put(key.object_name(), *got.blob, got.logical_bytes, now);
   return {got.blob, hit.latency_s + got.latency_s, false};
 }
 
 double CacheAggregator::infrastructure_cost(double seconds) const {
   return AggregatorBaseline::infrastructure_cost(seconds) +
-         cache_->provisioning_cost(seconds);
+         cache_.idle_cost(seconds);
 }
 
 units::Bytes job_metadata_footprint(const fed::FLJob& job) {

@@ -8,17 +8,18 @@
 //    in front of the store: faster access, expensive provisioned node-hours.
 //    Baseline of Figs 9/17.
 //
-// Both run the *same* workload implementations as FLStore; only the data
+// The data plane is FLStore's backend::StorageBackend seam (the store is an
+// ObjectStoreBackend, the cache tier a fixed-fleet CloudCacheBackend), and
+// both run the *same* workload implementations as FLStore; only the data
 // path differs — that isolation is the point of the comparison.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
+#include "backend/cloud_cache_backend.hpp"
+#include "backend/storage_backend.hpp"
 #include "cloud/cost_meter.hpp"
-#include "cloud/memcache.hpp"
-#include "cloud/object_store.hpp"
 #include "cloud/vm_instance.hpp"
 #include "fed/fl_job.hpp"
 #include "workloads/workload.hpp"
@@ -45,8 +46,9 @@ struct BaselineConfig {
 /// Shared fetch-compute-store pipeline; subclasses provide the data plane.
 class AggregatorBaseline {
  public:
+  /// `store` is the persistent data plane; it must outlive the baseline.
   AggregatorBaseline(BaselineConfig config, const fed::FLJob& job,
-                     ObjectStore& store);
+                     backend::StorageBackend& store);
   virtual ~AggregatorBaseline() = default;
   AggregatorBaseline(const AggregatorBaseline&) = delete;
   AggregatorBaseline& operator=(const AggregatorBaseline&) = delete;
@@ -70,15 +72,16 @@ class AggregatorBaseline {
     double latency_s = 0.0;
     bool cache_hit = false;
   };
-  /// Pull one object into VM memory; charges request fees to `fees`.
-  virtual Fetched fetch(const MetadataKey& key, CostMeter& fees) = 0;
+  /// Pull one object into VM memory at `now`; charges fees to `fees`.
+  virtual Fetched fetch(const MetadataKey& key, CostMeter& fees,
+                        double now) = 0;
   /// Result write-back latency.
-  virtual double store_result(const std::string& name, units::Bytes bytes,
-                              CostMeter& fees);
+  double store_result(const std::string& name, units::Bytes bytes,
+                      CostMeter& fees, double now);
 
   BaselineConfig config_;
   const fed::FLJob* job_;
-  ObjectStore* store_;
+  backend::StorageBackend* store_;
   VmInstance vm_;
 };
 
@@ -88,7 +91,8 @@ class ObjStoreAggregator final : public AggregatorBaseline {
   [[nodiscard]] std::string name() const override { return "ObjStore-Agg"; }
 
  protected:
-  Fetched fetch(const MetadataKey& key, CostMeter& fees) override;
+  Fetched fetch(const MetadataKey& key, CostMeter& fees,
+                double now) override;
 };
 
 class CacheAggregator final : public AggregatorBaseline {
@@ -96,21 +100,22 @@ class CacheAggregator final : public AggregatorBaseline {
   /// The cache tier is provisioned to hold `working_set` bytes (the paper
   /// keeps all FL metadata in the data plane — pass the job footprint).
   CacheAggregator(BaselineConfig config, const fed::FLJob& job,
-                  ObjectStore& store, units::Bytes working_set,
+                  backend::StorageBackend& store, units::Bytes working_set,
                   Link cache_link);
 
   [[nodiscard]] std::string name() const override { return "Cache-Agg"; }
   void ingest_round(const fed::RoundRecord& record, double now) override;
   [[nodiscard]] double infrastructure_cost(double seconds) const override;
-  [[nodiscard]] const MemCacheService& cache() const noexcept {
-    return *cache_;
+  [[nodiscard]] const backend::CloudCacheBackend& cache() const noexcept {
+    return cache_;
   }
 
  protected:
-  Fetched fetch(const MetadataKey& key, CostMeter& fees) override;
+  Fetched fetch(const MetadataKey& key, CostMeter& fees,
+                double now) override;
 
  private:
-  std::unique_ptr<MemCacheService> cache_;
+  backend::CloudCacheBackend cache_;
 };
 
 /// Footprint of an FL job's full metadata (sizing the Cache-Agg tier).

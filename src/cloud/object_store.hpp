@@ -3,7 +3,7 @@
 // Objects carry both real bytes (the materialized payload workloads compute
 // on) and a *logical* size (the true model-checkpoint size) — latency and
 // storage cost are computed from the logical size, so the simulation sees
-// 161 MB objects while tests hold KB-scale vectors. See DESIGN.md §1.
+// 161 MB objects while tests hold KB-scale vectors.
 //
 // The store is internally synchronized: it is the cold tier shared by every
 // tenant, and the serving plane (src/serve/) drives it from a worker-thread

@@ -2,8 +2,10 @@
 //
 // The ten figure workloads (Figs 1/2/7-11) plus two extension workloads:
 // Provenance (the across-rounds P3 family member used by Table 2) and
-// HyperparamTracking (P4 family). DESIGN.md §3 records the Debugging
-// P2-vs-P3 inconsistency in the paper and our resolution.
+// HyperparamTracking (P4 family). The paper places Debugging in both P2 and
+// P3; here it is P2: it reads the requested round plus the one before it,
+// the current-round window §5.4 says FLStore caches
+// (workloads/p2_debug_incentives.cpp).
 #pragma once
 
 #include <cstdint>

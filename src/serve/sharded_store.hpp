@@ -110,8 +110,9 @@ class ShardedStore {
   explicit ShardedStore(backend::StorageBackend& cold,
                         ShardedStoreConfig config = {});
 
-  /// Convenience: wrap a raw ObjectStore in an owned ObjectStoreBackend
-  /// (the pre-backend API; latencies and fees are bit-identical).
+  /// Wrap a raw ObjectStore in an owned ObjectStoreBackend. Only
+  /// perfbench/src/workloads.cpp calls this; its sources stay fixed so its
+  /// measurements compare across commits.
   explicit ShardedStore(ObjectStore& cold_store,
                         ShardedStoreConfig config = {});
 
@@ -280,7 +281,8 @@ class ShardedStore {
   /// Quiescent-point hook: call after the workers join, before reading
   /// engine statistics. It has nothing to do — every hot_* call books its
   /// ledgers under the shard lock before returning, so they are already
-  /// exact.
+  /// exact. It stays because perfbench/src/workloads.cpp calls it (see the
+  /// ObjectStore& constructor).
   void hot_sync() {}
 
   /// Global shard index `key` routes to on the hot path.

@@ -1,5 +1,5 @@
-// Manual serverless function runtime — the substitute for OpenFaaS/Lambda
-// (DESIGN.md §1). Owns all function instances, provides spawn / invoke /
+// Manual serverless function runtime — the simulated stand-in for
+// OpenFaaS/Lambda. Owns all function instances, provides spawn / invoke /
 // reclaim / keep-alive semantics and GB-second billing.
 //
 // Time does not live here: callers (the experiment scheduler) decide when

@@ -1,4 +1,4 @@
-// Calibration constants for the simulated deployment (DESIGN.md §5).
+// Calibration constants for the simulated deployment.
 //
 // Every latency/cost figure in the benches traces back to these numbers
 // plus the pricing catalog. They are chosen so the §2.3 shape holds: the

@@ -152,8 +152,8 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
   job_cfg.seed = config_.seed;
   job_ = std::make_unique<fed::FLJob>(job_cfg);
 
-  store_ = std::make_unique<ObjectStore>(objstore_link(),
-                                         PricingCatalog::aws());
+  bucket_ = std::make_unique<backend::ObjectStoreBackend>(
+      objstore_link(), PricingCatalog::aws());
   backend_ = make_cold_backend(config_.cold_backend, config_.cold_replication);
 
   core::FLStoreConfig fl_cfg;
@@ -166,9 +166,9 @@ Scenario::Scenario(ScenarioConfig config) : config_(std::move(config)) {
   baselines::BaselineConfig base_cfg;
   base_cfg.vm_profile = vm_profile();
   objstore_agg_ = std::make_unique<baselines::ObjStoreAggregator>(
-      base_cfg, *job_, *store_);
+      base_cfg, *job_, *bucket_);
   cache_agg_ = std::make_unique<baselines::CacheAggregator>(
-      base_cfg, *job_, *store_,
+      base_cfg, *job_, *bucket_,
       baselines::job_metadata_footprint(*job_), cloudcache_link());
 }
 
@@ -216,7 +216,7 @@ std::unique_ptr<backend::StorageBackend> Scenario::make_raw_backend(
     backend::BackendKind kind) const {
   switch (kind) {
     case backend::BackendKind::kObjectStore:
-      return std::make_unique<backend::ObjectStoreBackend>(*store_);
+      return std::make_unique<backend::ObjectStoreBackend>(bucket_->store());
     case backend::BackendKind::kCloudCache: {
       backend::CloudCacheBackend::Config cfg;
       cfg.link = cloudcache_link();

@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "backend/flush_scheduler.hpp"
+#include "backend/object_store_backend.hpp"
 #include "backend/storage_backend.hpp"
 #include "baselines/aggregator_baseline.hpp"
-#include "cloud/object_store.hpp"
 #include "core/flstore.hpp"
 #include "fed/fl_job.hpp"
 #include "fed/trace.hpp"
@@ -136,7 +136,6 @@ class Scenario {
     return config_;
   }
   [[nodiscard]] fed::FLJob& job() noexcept { return *job_; }
-  [[nodiscard]] ObjectStore& store() noexcept { return *store_; }
   [[nodiscard]] backend::StorageBackend& cold_backend() noexcept {
     return *backend_;
   }
@@ -188,7 +187,8 @@ class Scenario {
 
   ScenarioConfig config_;
   std::unique_ptr<fed::FLJob> job_;
-  std::unique_ptr<ObjectStore> store_;
+  /// The baselines' bucket; a kObjectStore cold tier adapts its store.
+  std::unique_ptr<backend::ObjectStoreBackend> bucket_;
   std::unique_ptr<backend::StorageBackend> backend_;
   std::unique_ptr<core::FLStore> flstore_;
   std::unique_ptr<baselines::ObjStoreAggregator> objstore_agg_;

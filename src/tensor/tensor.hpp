@@ -4,7 +4,6 @@
 // (the math the workloads do — cosine similarity, clustering, activation
 // differencing — is dimension-agnostic), while the byte sizes used by the
 // latency/cost model come from the model zoo (true fp32 checkpoint sizes).
-// See DESIGN.md §1 for the substitution rationale.
 #pragma once
 
 #include <cstddef>

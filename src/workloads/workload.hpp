@@ -54,7 +54,8 @@ class Workload {
 
   [[nodiscard]] virtual fed::WorkloadType type() const noexcept = 0;
 
-  /// Metadata keys required to serve `req` (DESIGN.md §3 windows).
+  /// Metadata keys required to serve `req`: the rounds and clients its
+  /// Table 1 window spans.
   [[nodiscard]] virtual std::vector<MetadataKey> data_needs(
       const fed::NonTrainingRequest& req,
       const fed::RoundDirectory& dir) const = 0;

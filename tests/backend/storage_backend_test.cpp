@@ -7,6 +7,7 @@
 #include "backend/cloud_cache_backend.hpp"
 #include "backend/local_ssd_backend.hpp"
 #include "backend/object_store_backend.hpp"
+#include "common/error.hpp"
 #include "sim/calibration.hpp"
 
 namespace flstore::backend {
@@ -179,6 +180,114 @@ TEST(CloudCacheBackendTest, RejectedOverwritePreservesTheStoredVersion) {
   ASSERT_TRUE(got.found);
   EXPECT_EQ(*got.blob, (Blob{1, 2, 3}));
   EXPECT_EQ(got.logical_bytes, 4 * units::MB);
+}
+
+// --- CloudCacheBackend as a fixed Memcached fleet -------------------------
+// The configuration Cache-Agg provisions: auto_scale off, so the node count
+// (and the node-hour bill) never changes and over-capacity writes evict
+// LRU.
+
+CloudCacheBackend fixed_fleet(int nodes = 1) {
+  CloudCacheBackend::Config cfg;
+  cfg.nodes = nodes;
+  cfg.auto_scale = false;
+  cfg.link = Link{0.001, 250.0 * 1e6};
+  return CloudCacheBackend(cfg, PricingCatalog::aws());
+}
+
+TEST(MemCache, HitAfterPut) {
+  auto c = fixed_fleet();
+  c.put("a", Blob{1}, 100 * units::MB, 0.0);
+  const auto got = c.get("a", 1.0);
+  ASSERT_TRUE(got.found);
+  EXPECT_EQ((*got.blob)[0], 1);
+  EXPECT_NEAR(got.latency_s, 0.001 + 0.4, 1e-9);
+  EXPECT_EQ(c.stats().bytes_read, 100 * units::MB);
+}
+
+TEST(MemCache, MissCheap) {
+  auto c = fixed_fleet();
+  const auto got = c.get("missing", 0.0);
+  EXPECT_FALSE(got.found);
+  // Exactly one first byte: no transfer, no request fee.
+  EXPECT_EQ(got.latency_s, 0.001);
+  EXPECT_EQ(got.request_fee_usd, 0.0);
+  EXPECT_EQ(c.stats().gets, 1U);
+}
+
+TEST(MemCache, CapacityFromNodes) {
+  auto c1 = fixed_fleet(1);
+  auto c3 = fixed_fleet(3);
+  EXPECT_EQ(c3.capacity_bytes(), 3 * c1.capacity_bytes());
+  EXPECT_EQ(c1.capacity_bytes(), PricingCatalog::aws().cache_node_capacity);
+}
+
+TEST(MemCache, LruEvictionOrder) {
+  auto c = fixed_fleet();
+  const auto third = c.capacity_bytes() / 3 + 1;  // three objects overflow
+  c.put("a", Blob{1}, third, 0.0);
+  c.put("b", Blob{2}, third, 1.0);
+  // Touch "a" so "b" is the LRU victim.
+  (void)c.get("a", 2.0);
+  c.put("c", Blob{3}, third, 3.0);
+  EXPECT_TRUE(c.contains("a"));
+  EXPECT_FALSE(c.contains("b"));
+  EXPECT_TRUE(c.contains("c"));
+  EXPECT_EQ(c.evictions(), 1U);
+}
+
+TEST(MemCache, UsedBytesTracked) {
+  auto c = fixed_fleet();
+  c.put("a", Blob{1}, 10 * units::MB, 0.0);
+  c.put("b", Blob{2}, 5 * units::MB, 0.0);
+  EXPECT_EQ(c.stored_logical_bytes(), 15 * units::MB);
+  c.put("a", Blob{9}, 2 * units::MB, 0.0);  // an overwrite shrinks usage
+  EXPECT_EQ(c.stored_logical_bytes(), 7 * units::MB);
+}
+
+TEST(MemCache, ObjectLargerThanCapacityRejected) {
+  auto c = fixed_fleet();
+  const auto put = c.put("big", Blob{1}, c.capacity_bytes() + 1, 0.0);
+  EXPECT_FALSE(put.accepted);
+  EXPECT_FALSE(c.contains("big"));
+  EXPECT_EQ(c.stored_logical_bytes(), 0U);
+}
+
+TEST(MemCache, EvictsMultipleToFit) {
+  auto c = fixed_fleet();
+  const auto cap = c.capacity_bytes();
+  c.put("a", Blob{1}, cap / 2, 0.0);
+  c.put("b", Blob{2}, cap / 2, 0.0);
+  // One put that needs both LRU objects gone.
+  c.put("big", Blob{3}, cap - 10, 0.0);
+  EXPECT_FALSE(c.contains("a"));
+  EXPECT_FALSE(c.contains("b"));
+  EXPECT_TRUE(c.contains("big"));
+  EXPECT_EQ(c.evictions(), 2U);
+  EXPECT_EQ(c.nodes(), 1);  // the fleet did not grow
+}
+
+TEST(MemCache, ProvisioningCostByNodeHours) {
+  auto c = fixed_fleet(4);
+  EXPECT_EQ(c.idle_cost(3600.0),
+            PricingCatalog::aws().cache_nodes_cost(4, 3600.0));
+  EXPECT_NEAR(c.idle_cost(3600.0), 4 * 0.411, 1e-9);
+}
+
+TEST(MemCache, RequiresAtLeastOneNode) {
+  EXPECT_THROW((void)fixed_fleet(0), InternalError);
+}
+
+TEST(MemCache, GetRefreshesLruOnEveryAccess) {
+  auto c = fixed_fleet();
+  const auto half = c.capacity_bytes() / 2 + 1;
+  c.put("a", Blob{1}, half, 0.0);
+  c.put("b", Blob{2}, half, 1.0);  // evicts a
+  EXPECT_FALSE(c.contains("a"));
+  (void)c.get("b", 2.0);
+  c.put("c", Blob{3}, half, 3.0);  // b is the only (touched) victim
+  EXPECT_FALSE(c.contains("b"));
+  EXPECT_TRUE(c.contains("c"));
 }
 
 // --- LocalSsdBackend ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/object_store_backend.hpp"
 #include "common/error.hpp"
 #include "sim/calibration.hpp"
 
@@ -49,7 +50,7 @@ struct BaselineFixture : ::testing::Test {
   }
 
   fed::FLJob job;
-  ObjectStore store;
+  backend::ObjectStoreBackend store;
 };
 
 TEST_F(BaselineFixture, ObjStoreServeIsCommunicationBound) {
@@ -107,7 +108,7 @@ TEST_F(BaselineFixture, CacheAggFallsBackToStoreOnMiss) {
 TEST_F(BaselineFixture, CacheAggProvisionedForFullJob) {
   auto cacheagg = make_cache_agg();
   const auto footprint = job_metadata_footprint(job);
-  EXPECT_GE(cacheagg.cache().capacity(), footprint);
+  EXPECT_GE(cacheagg.cache().capacity_bytes(), footprint);
   // resnet18, 30 rounds x 8 clients: ~12 GB -> a single 26 GB node.
   EXPECT_EQ(cacheagg.cache().nodes(), 1);
 }
@@ -146,6 +147,43 @@ TEST_F(BaselineFixture, JobFootprintArithmetic) {
       30ULL * 9ULL * job.model().object_bytes;
   EXPECT_GT(footprint, models);
   EXPECT_LT(footprint, models + 10 * units::MB);
+}
+
+// Exact simulated numbers of both baselines over one miss-then-hit
+// sequence, pinned so a drift in either data-plane model fails here and not
+// only in bench output.
+TEST_F(BaselineFixture, PinnedMissThenHitNumbers) {
+  auto objagg = make_objstore_agg();
+  auto cacheagg = make_cache_agg();
+  // Only the store holds round 0: Cache-Agg's first request misses.
+  objagg.ingest_round(job.make_round(0), 0.0);
+  const auto obj =
+      objagg.serve(request(1, fed::WorkloadType::kClustering, 0), 10.0);
+  const auto miss =
+      cacheagg.serve(request(2, fed::WorkloadType::kClustering, 0), 20.0);
+  const auto hit =
+      cacheagg.serve(request(3, fed::WorkloadType::kClustering, 0), 30.0);
+
+  EXPECT_EQ(obj.latency_s, 0x1.838c47a17f414p+5);
+  EXPECT_EQ(obj.comm_s, 0x1.7ee353f7ced93p+5);
+  EXPECT_EQ(obj.cost_usd, 0x1.96d18e015f875p-7);
+  EXPECT_EQ(obj.cache_hits, 0U);
+  EXPECT_EQ(obj.cache_misses, 8U);
+
+  EXPECT_EQ(miss.latency_s, 0x1.83ad0c3d25247p+5);
+  EXPECT_EQ(miss.comm_s, 0x1.7f04189374bc6p+5);
+  EXPECT_EQ(miss.cost_usd, 0x1.96f3edea87cf8p-7);
+  EXPECT_EQ(miss.cache_hits, 0U);
+  EXPECT_EQ(miss.cache_misses, 8U);
+
+  EXPECT_EQ(hit.latency_s, 0x1.be58ae5e9451bp+2);
+  EXPECT_EQ(hit.comm_s, 0x1.9911111111112p+2);
+  EXPECT_EQ(hit.cost_usd, 0x1.d58abfee202fp-10);
+  EXPECT_EQ(hit.cache_hits, 8U);
+  EXPECT_EQ(hit.cache_misses, 0U);
+
+  EXPECT_EQ(objagg.infrastructure_cost(3600.0), 0x1.d8122570aeeep-1);
+  EXPECT_EQ(cacheagg.infrastructure_cost(3600.0), 0x1.55405e7eff66ap+0);
 }
 
 TEST_F(BaselineFixture, BothBaselinesComputeIdenticalResults) {

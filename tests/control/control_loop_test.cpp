@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "backend/object_store_backend.hpp"
 #include "control/sharded_surface.hpp"
 #include "sim/calibration.hpp"
 
@@ -57,7 +58,7 @@ struct ControlledPlane {
   }
 
   obs::Telemetry telemetry;
-  ObjectStore cold;
+  backend::ObjectStoreBackend cold;
   fed::FLJob job;
   std::unique_ptr<serve::ShardedStore> store;
 };

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/object_store_backend.hpp"
 #include "fed/trace.hpp"
 #include "sim/calibration.hpp"
 
@@ -52,7 +53,7 @@ struct FLStoreFixture : ::testing::Test {
   }
 
   fed::FLJob job;
-  ObjectStore cold;
+  backend::ObjectStoreBackend cold;
 };
 
 TEST_F(FLStoreFixture, IngestBacksUpEverythingToColdStore) {

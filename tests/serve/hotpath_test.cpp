@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend/object_store_backend.hpp"
 #include "common/rng.hpp"
 #include "obs/hot_counters.hpp"
 #include "serve/sharded_store.hpp"
@@ -107,7 +108,7 @@ struct HotPlane {
     return t;
   }
 
-  ObjectStore cold;
+  backend::ObjectStoreBackend cold;
   std::unique_ptr<fed::FLJob> job;
   std::unique_ptr<ShardedStore> store;
 };

@@ -10,6 +10,7 @@
 #include <memory>
 #include <thread>
 
+#include "backend/object_store_backend.hpp"
 #include "sim/calibration.hpp"
 
 namespace flstore::serve {
@@ -46,7 +47,7 @@ struct Plane {
     return out;
   }
 
-  ObjectStore cold;
+  backend::ObjectStoreBackend cold;
   std::vector<std::unique_ptr<fed::FLJob>> jobs;
   std::unique_ptr<ShardedStore> store;
 };
@@ -214,7 +215,7 @@ struct MultiTenantFixture : ::testing::Test {
     return global >= store.tenant_primary_shard(tb) ? tb : ta;
   }
 
-  ObjectStore cold;
+  backend::ObjectStoreBackend cold;
   fed::FLJob job_a;
   fed::FLJob job_b;
   ShardedStore store;
@@ -273,7 +274,8 @@ TEST(ShardedStore, SingleShardReplayMatchesDirectFacade) {
 
   // Reference: a bare FLStore over a fresh cold store, same namespace,
   // same interleaving of ingests and serves.
-  ObjectStore cold2(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold2(sim::objstore_link(),
+                                    PricingCatalog::aws());
   fed::FLJob job2(small_job(100));
   core::FLStoreConfig store_cfg;
   store_cfg.cold_namespace = "t0/";
@@ -392,6 +394,8 @@ TEST(ShardedStore, ClosedLoopSurvivesAdmissionRejections) {
   EXPECT_GT(last_arrival, 0.8 * closed.duration_s);
 }
 
+// Also the one test of the ObjectStore& constructor (the plane wraps the
+// raw store in its own adapter); every other plane here gets a backend.
 TEST(ShardedStore, CoalescerStatsArePerRunAndWindowsDontLeak) {
   ShardedStoreConfig cfg;
   cfg.routing = Routing::kHash;
@@ -427,7 +431,8 @@ TEST(ShardedStore, UnknownTenantThrows) {
 // Per-class cache budgets plumb through add_tenant to every shard, bound
 // each partition's resident bytes, and show up in the tenant-level ledger.
 TEST(ShardedStore, ClassPartitionsPlumbThroughAndStayBounded) {
-  ObjectStore cold(sim::objstore_link(), PricingCatalog::aws());
+  backend::ObjectStoreBackend cold(sim::objstore_link(),
+                                   PricingCatalog::aws());
   fed::FLJob job(small_job(100));
   ShardedStore store(cold, plane_config(0));
   core::FLStoreConfig store_cfg;
@@ -692,7 +697,7 @@ TEST(ShardedStore, WindowedServingNeverReingestsRounds) {
   Plane windowed(plane_config(0), /*tenants=*/2);
   const auto trace = open_loop_trace(open_loop(0.2, 400.0), whole.mix());
   (void)whole.store->serve_open_loop(trace, 30.0);
-  const auto whole_puts = whole.cold.put_count();
+  const auto whole_puts = whole.cold.store().put_count();
   ASSERT_GT(whole_puts, 0U);
 
   std::size_t served = 0;
@@ -715,8 +720,8 @@ TEST(ShardedStore, WindowedServingNeverReingestsRounds) {
   // The windowed horizon reaches 400 s while the unwindowed horizon stops
   // at the last arrival, so the windowed run may ingest at most the last
   // partial round extra — never fewer, never duplicates.
-  EXPECT_GE(windowed.cold.put_count(), whole_puts);
-  EXPECT_LE(windowed.cold.put_count(),
+  EXPECT_GE(windowed.cold.store().put_count(), whole_puts);
+  EXPECT_LE(windowed.cold.store().put_count(),
             whole_puts + whole_puts / 4);  // slack for the final round
 }
 

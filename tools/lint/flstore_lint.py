@@ -8,9 +8,10 @@ clang-tidy can express:
                       rand (system_clock, steady_clock, time(), rand(), ...)
                       outside src/common/ — results must be pure functions
                       of simulated time, or determinism tests lie.
-  no-cout             src/ must not write to std::cout/std::cerr directly;
-                      diagnostics go through common/log (level-gated, one
-                      line per fprintf, never interleaved).
+  no-cout             src/ must not write to std::cout/std::cerr directly:
+                      library code reports through return values,
+                      exceptions and the obs/ telemetry plane, and printing
+                      belongs to the bench and example binaries.
   bench-json          every bench/fig*.cpp must accept the common CLI
                       (--scale/--json/--trace) by calling bench::parse_args,
                       so CI can harvest BENCH_*.json artifacts uniformly.
@@ -151,8 +152,8 @@ def check_no_cout(root: pathlib.Path, findings: list[Finding]) -> None:
                     lines, i, "no-cout", findings, rel):
                 findings.append(Finding(
                     rel, i + 1, "no-cout",
-                    "library code must log via common/log.hpp, not "
-                    "std::cout/std::cerr"))
+                    "library code must report through results, exceptions "
+                    "or obs/ telemetry, not std::cout/std::cerr"))
 
 
 def check_bench_json(root: pathlib.Path, findings: list[Finding]) -> None:
